@@ -46,16 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..counting.dnf_counter import (
     MonotoneDNF,
     _minimize_clauses,
     _split_components,
-    binomial_row,
-    convolve,
-    pad,
+    recombine,
 )
 from ..errors import ReproError
 from ..reliability import faults
@@ -327,11 +324,9 @@ class CompiledDNF:
 
     def count_by_size(self) -> list[int]:
         """The FGMC vector of the DNF: ``vec[k]`` satisfying subsets of size ``k``."""
-        n = self.n_variables
         used = len(self.circuit.scope[self.circuit.root])
-        non_models = convolve(self._complement_root(), binomial_row(n - used))
-        total = binomial_row(n)
-        return [total[k] - non_models[k] for k in range(n + 1)]
+        return recombine([self._complement_root()], [{}],
+                         self.n_variables - used)[0]
 
     def conditioned_pairs(self, variables: "list[int] | None" = None,
                           ) -> dict[int, tuple[list[int], list[int]]]:
@@ -339,34 +334,18 @@ class CompiledDNF:
 
         Exactly :meth:`MonotoneDNF.conditioned_count_by_size` for every
         requested variable (default: all ``n``), but the circuit is swept once
-        instead of re-counting per variable.
+        instead of re-counting per variable.  The root is one island of
+        :func:`~repro.counting.dnf_counter.recombine`; variables outside its
+        scope are the free ones.
         """
-        n = self.n_variables
-        wanted = list(range(n)) if variables is None else list(variables)
+        wanted = range(self.n_variables) if variables is None else list(variables)
         root_scope = self.circuit.scope[self.circuit.root]
-        used = len(root_scope)
-        in_scope = self.circuit.conditioned_pairs(
-            [v for v in wanted if v in root_scope])
-        total = binomial_row(n - 1)
-        outside: "list[int] | None" = None
-        pairs: dict[int, tuple[list[int], list[int]]] = {}
-        for v in wanted:
-            if v in root_scope:
-                true_c, false_c = in_scope[v]
-                true_models = convolve(true_c, binomial_row(n - used))
-                false_models = convolve(false_c, binomial_row(n - used))
-            else:
-                # The variable is unconstrained: both restrictions equal the
-                # formula itself over the remaining n - 1 variables.
-                if outside is None:
-                    outside = convolve(self._complement_root(),
-                                       binomial_row(n - 1 - used))
-                true_models = false_models = outside
-            true_models = pad(true_models, n)
-            false_models = pad(false_models, n)
-            pairs[v] = ([total[k] - true_models[k] for k in range(n)],
-                        [total[k] - false_models[k] for k in range(n)])
-        return pairs
+        inside = [v for v in wanted if v in root_scope]
+        swept = self.circuit.conditioned_pairs(inside)
+        return recombine([self._complement_root()],
+                         [{v: swept[v][0] for v in inside}],
+                         self.n_variables - len(root_scope),
+                         [v for v in wanted if v not in root_scope])[1]
 
     def restrict(self, assignment: "Mapping[int, bool]") -> "CompiledDNF":
         """The compiled DNF with every assigned variable fixed true/false.
@@ -437,20 +416,19 @@ class ConditioningPlan:
 
     When the formula splits into variable-disjoint islands, the compiler
     emits the complement as a decomposable AND over per-island factor
-    subcircuits.  This plan sweeps each factor **once** (lazily, shared by
-    every restriction of the batch); a restriction then resweeps only the
-    factors whose variables it fixes and recomposes every surviving
-    variable's conditioned pair by convolving its factor-local pair with the
-    product of the other factors' cached complement vectors — per-scenario
-    cost proportional to the *touched island*, not the whole formula.  On a
+    subcircuits — the islands of
+    :func:`~repro.counting.dnf_counter.recombine`.  The plan sweeps each
+    factor **once** (lazily, shared by every restriction of the batch) and
+    keeps only its true-branch vectors, the kernel's per-variable input.  A
+    restriction resweeps only the factors whose variables it fixes, hands
+    every factor's complement vector and true branches to the kernel, and
+    gets back the restricted formula's model vector with either the
+    surviving variables' pairs or their semivalues — per-scenario cost
+    proportional to the *touched island*, not the whole formula.  On a
     single-island formula the plan degrades gracefully to one restricted
-    sweep per scenario (still recompiling nothing).
-
-    All arithmetic happens in complement space (factor vectors count
-    non-models) and flips to model counts at the very end with the same
-    binomial bookkeeping as :meth:`CompiledDNF.conditioned_pairs`, so the
-    composed pairs are bitwise-identical to a fresh compile-and-sweep of the
-    restricted formula.
+    sweep per scenario (still recompiling nothing).  The kernel's arithmetic
+    is exact, so the pairs are bitwise-identical to a fresh compile-and-sweep
+    of the restricted formula.
     """
 
     def __init__(self, compiled: CompiledDNF):
@@ -464,23 +442,14 @@ class ConditioningPlan:
         self._factors: "list[int]" = (
             list(circuit.children[root]) if circuit.kind[root] == AND
             else [root])
-        self._scopes = [circuit.scope[f] for f in self._factors]
-        self._factor_of = {v: i for i, scope in enumerate(self._scopes)
-                           for v in scope}
-        self._internal: "dict[int, dict[int, tuple[list[int], list[int]]]]" = {}
+        self._factor_of = {v: i for i, factor in enumerate(self._factors)
+                           for v in circuit.scope[factor]}
+        self._branches: "dict[int, dict[int, list[int]]]" = {}
 
     @property
     def n_factors(self) -> int:
         """Number of root factors (islands) the plan shards conditioning over."""
         return len(self._factors)
-
-    def _standing_internal(self, i: int) -> "dict[int, tuple[list[int], list[int]]]":
-        """Factor ``i``'s complement-space conditioned pairs (swept once, cached)."""
-        pairs = self._internal.get(i)
-        if pairs is None:
-            pairs = self._internal[i] = self._circuit.conditioned_pairs(
-                root=self._factors[i], vectors=self._vectors)
-        return pairs
 
     def restricted_pairs(self, assignment: "Mapping[int, bool]",
                          ) -> "tuple[dict[int, tuple[list[int], list[int]]], bool, list[int]]":
@@ -494,147 +463,67 @@ class ConditioningPlan:
         the restricted monotone formula's satisfiability (its value on the
         all-true world) and ``models`` its model-count-by-size vector
         (length ``n_rem + 1``) — the FGMC vector probability workloads
-        interpolate, read off the batch's standing products for free.
+        interpolate.
         """
-        state = self._restricted_state(assignment)
-        (fixed, n_rem, factor_pairs, prefix, suffix, free_count,
-         all_nonmodels, satisfiable, models) = state
-        pairs: "dict[int, tuple[list[int], list[int]]]" = {}
-        if n_rem == 0:
-            return pairs, satisfiable, models
-        total = binomial_row(n_rem - 1)
-        for i in range(len(factor_pairs)):
-            others = convolve(convolve(prefix[i], suffix[i + 1]),
-                              binomial_row(free_count))
-            for v, (true_c, _) in factor_pairs[i].items():
-                # One convolution per variable: the without-``v`` non-models
-                # follow from partitioning ``all_nonmodels`` by membership of
-                # ``v`` — a size-``k`` non-model either contains ``v`` (its
-                # conditioned world has size ``k - 1``) or it does not.
-                nm_true = pad(convolve(true_c, others), n_rem)
-                pairs[v] = (
-                    [total[k] - nm_true[k] for k in range(n_rem)],
-                    [total[k] - all_nonmodels[k]
-                     + (nm_true[k - 1] if k else 0) for k in range(n_rem)])
-        survivors_outside = self._survivors_outside(fixed)
-        if survivors_outside:
-            # Unconstrained variables: either restriction leaves the formula
-            # unchanged over the remaining n_rem - 1 variables.
-            nm_free = pad(convolve(prefix[-1], binomial_row(free_count - 1)),
-                          n_rem)
-            shared = [total[k] - nm_free[k] for k in range(n_rem)]
-            for v in survivors_outside:
-                pairs[v] = (list(shared), list(shared))
-        return pairs, satisfiable, models
+        return self._recombined(assignment, None)
 
     def restricted_semivalues(self, assignment: "Mapping[int, bool]",
                               weights: "Sequence[Fraction]",
                               ) -> "tuple[dict[int, Fraction], bool, list[int]]":
         """Per-variable semivalue of the restricted DNF, without pair vectors.
 
-        For a semivalue with per-coalition-size weights ``w(k, n_rem)``
-        (``weights[k]``, one per coalition size of the *other* facts) the
-        value is linear in the conditioned pair, so the composition never
-        needs the per-variable length-``n_rem`` vectors that
-        :meth:`restricted_pairs` materialises: with ``nm_true`` the
-        with-``v`` non-model vector,
-
-        ``value(v) = Σ_k w_k·all_nm[k] - Σ_k w_k·(nm_true[k-1] + nm_true[k])``
-
-        and the second sum transposes onto the factor-local vector —
-        ``Σ_a true_c[a]·(U[a] + U[a+1])`` with ``U[a] = Σ_b others[b]·w_{a+b}``
-        computed once per factor.  Per-variable cost drops from one
-        length-``n_rem`` convolution to a dot product of island length.
-        Arithmetic runs over the weights' common denominator, so the values
-        are exactly the ``Fraction``s ``index.combine`` would produce.
-
-        Returns ``({v: value}, satisfiable, models)`` as in
-        :meth:`restricted_pairs`.
+        ``weights[k]`` is the semivalue's weight ``w(k, n_rem)`` of a size-``k``
+        coalition of the *other* surviving facts.  The kernel transposes the
+        weights onto each factor (its U-transform), so a variable costs a dot
+        product of island length instead of a length-``n_rem`` convolution;
+        the values are exactly the ``Fraction``s ``index.combine`` would
+        produce on :meth:`restricted_pairs`.  Returns
+        ``({v: value}, satisfiable, models)`` as :meth:`restricted_pairs` does.
         """
-        state = self._restricted_state(assignment)
-        (fixed, n_rem, factor_pairs, prefix, suffix, free_count,
-         all_nonmodels, satisfiable, models) = state
-        values: "dict[int, Fraction]" = {}
-        if n_rem == 0:
-            return values, satisfiable, models
-        if len(weights) != n_rem:
-            raise ValueError(
-                f"need one weight per coalition size: {n_rem}, got {len(weights)}")
-        denominator = 1
-        for w in weights:
-            denominator = lcm(denominator, w.denominator)
-        scaled = [int(w * denominator) for w in weights]
+        return self._recombined(assignment, weights)
 
-        def weight_at(k: int) -> int:
-            return scaled[k] if 0 <= k < n_rem else 0
-
-        shared = sum(scaled[k] * all_nonmodels[k] for k in range(n_rem))
-        for i in range(len(factor_pairs)):
-            pairs = factor_pairs[i]
-            if not pairs:
-                continue
-            others = convolve(convolve(prefix[i], suffix[i + 1]),
-                              binomial_row(free_count))
-            width = max(len(true_c) for true_c, _ in pairs.values())
-            transform = [sum(count * weight_at(a + b)
-                             for b, count in enumerate(others))
-                         for a in range(width + 1)]
-            for v, (true_c, _) in pairs.items():
-                dot = sum(count * (transform[a] + transform[a + 1])
-                          for a, count in enumerate(true_c))
-                values[v] = Fraction(shared - dot, denominator)
-        for v in self._survivors_outside(fixed):
-            values[v] = Fraction(0)        # null player: with == without
-        return values, satisfiable, models
-
-    def _survivors_outside(self, fixed: "dict[int, bool]") -> "list[int]":
-        """Surviving variables no root factor constrains."""
-        return [v for v in range(self.compiled.n_variables)
-                if v not in fixed and v not in self._factor_of]
-
-    def _restricted_state(self, assignment: "Mapping[int, bool]"):
-        """The shared composition state behind both ``restricted_*`` views."""
+    def _recombined(self, assignment: "Mapping[int, bool]",
+                    weights: "Sequence[Fraction] | None"):
         fixed = {int(v): bool(b) for v, b in assignment.items()}
-        out_of_range = [v for v in fixed if not 0 <= v < self.compiled.n_variables]
+        n_variables = self.compiled.n_variables
+        out_of_range = [v for v in fixed if not 0 <= v < n_variables]
         if out_of_range:
             raise ValueError(
                 f"assignment fixes unknown variables {sorted(out_of_range)}")
-        n_rem = self.compiled.n_variables - len(fixed)
-        circuit = self._circuit
         touched: "dict[int, dict[int, bool]]" = {}
         for v, value in fixed.items():
             factor = self._factor_of.get(v)
             if factor is not None:
                 touched.setdefault(factor, {})[v] = value
-
-        factor_vectors: "list[list[int]]" = []
-        factor_pairs: "list[dict[int, tuple[list[int], list[int]]]]" = []
-        used = 0
+        complements: "list[list[int]]" = []
+        branches: "list[dict[int, list[int]]]" = []
         for i, factor in enumerate(self._factors):
             if i in touched:
-                sub = circuit.restrict(touched[i], root=factor)
-                factor_vectors.append(sub.root_count())
-                factor_pairs.append(sub.conditioned_pairs())
+                sub = self._circuit.restrict(touched[i], root=factor)
+                vectors = sub.count_vectors()
+                complements.append(vectors[sub.root])
+                branches.append({v: true_c for v, (true_c, _)
+                                 in sub.conditioned_pairs(vectors=vectors).items()})
             else:
-                factor_vectors.append(self._vectors[factor])
-                factor_pairs.append(self._standing_internal(i))
-            used += len(factor_vectors[-1]) - 1
+                complements.append(self._vectors[factor])
+                branches.append(self._standing_branches(i))
+        n_rem = n_variables - len(fixed)
+        free = n_rem - sum(len(vector) - 1 for vector in complements)
+        survivors_outside = [v for v in range(n_variables)
+                             if v not in fixed and v not in self._factor_of]
+        models, out = recombine(complements, branches, free,
+                                survivors_outside, weights)
+        return out, models[-1] > 0, models
 
-        m = len(factor_vectors)
-        prefix: "list[list[int]]" = [[1]]
-        for vector in factor_vectors:
-            prefix.append(convolve(prefix[-1], vector))
-        suffix: "list[list[int]]" = [[1]] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            suffix[i] = convolve(factor_vectors[i], suffix[i + 1])
-        free_count = n_rem - used
-        all_nonmodels = pad(convolve(prefix[m], binomial_row(free_count)),
-                            n_rem + 1)
-        satisfiable = all_nonmodels[n_rem] == 0
-        whole = binomial_row(n_rem)
-        models = [whole[k] - all_nonmodels[k] for k in range(n_rem + 1)]
-        return (fixed, n_rem, factor_pairs, prefix, suffix, free_count,
-                all_nonmodels, satisfiable, models)
+    def _standing_branches(self, i: int) -> "dict[int, list[int]]":
+        """Factor ``i``'s true-branch complement vectors (swept once, cached)."""
+        branches = self._branches.get(i)
+        if branches is None:
+            pairs = self._circuit.conditioned_pairs(root=self._factors[i],
+                                                    vectors=self._vectors)
+            branches = self._branches[i] = {
+                v: true_c for v, (true_c, _) in pairs.items()}
+        return branches
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 
@@ -60,6 +61,88 @@ def pad(vector: Sequence[int], length: int) -> list[int]:
     if len(out) < length:
         out.extend([0] * (length - len(out)))
     return out
+
+
+def recombine(complements: Sequence[Sequence[int]],
+              true_branches: "Sequence[Mapping[int, Sequence[int]]]",
+              free: int, free_variables: Iterable[int] = (),
+              weights: "Sequence[Fraction] | None" = None,
+              ) -> "tuple[list[int], dict]":
+    """The FGMC vectors of a disjunction of variable-disjoint islands.
+
+    ``complements[i]`` counts island ``i``'s non-models by size (length
+    ``n_i + 1``); ``true_branches[i]`` maps each island-``i`` variable to
+    price to the island's non-model vector with that variable fixed true
+    (length ``n_i``); ``free`` more variables lie in no island.  A subset
+    falsifies the disjunction iff it falsifies every island, so the global
+    non-models are ``nm = Π_i complements[i] · (1+z)^free`` and the returned
+    model vector is ``C(n, k) - nm[k]`` (length ``n + 1``).
+
+    Fixing a variable of island ``i`` replaces only factor ``i``:
+    ``nm_true = true_branch · rest_i``, with ``rest_i`` the product of the
+    other factors (prefix/suffix products: ``O(m)`` convolutions for ``m``
+    islands).  The false branch needs no second convolution, since a
+    size-``k`` non-model either contains the variable or not:
+    ``nm[k] = nm_true[k-1] + nm_false[k]``.
+
+    The returned dict maps every priced variable (the branch keys and
+    ``free_variables``) to ``(with_vector, without_vector)`` — exactly
+    :meth:`MonotoneDNF.conditioned_count_by_size` of the disjunction.  Given
+    a semivalue's ``weights`` ``w(k, n)`` for ``k = 0 .. n-1`` it maps them to
+    the value ``Σ_k w_k·(with[k] - without[k]) = Σ_k w_k·nm[k] -
+    Σ_a true[a]·(U[a] + U[a+1])`` instead, with the U-transform
+    ``U[a] = Σ_b rest_i[b]·w_{a+b}`` taken once per island, so no vector is
+    built per variable.  The sums run in integers over the weights' common
+    denominator: the ``Fraction`` is the one ``index.combine`` returns on the
+    vectors.  Free variables are null players (equal vectors, value 0).
+    """
+    m = len(complements)
+    n = free + sum(len(c) - 1 for c in complements)
+    # Suffix products seeded with the free row: suffix[0] is the global nm,
+    # and each island's rest folds (1+z)^free in once.
+    suffix: list[list[int]] = [binomial_row(free)] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = convolve(complements[i], suffix[i + 1])
+    nm = pad(suffix[0], n + 1)
+    models = [total - count for total, count in zip(binomial_row(n), nm)]
+    out: dict = {}
+    free_variables = list(free_variables)
+    if n == 0 or not (free_variables or any(true_branches)):
+        return models, out
+    if weights is None:
+        total = binomial_row(n - 1)
+    elif len(weights) != n:
+        raise ValueError(
+            f"need one weight per coalition size: {n}, got {len(weights)}")
+    else:
+        denominator = math.lcm(*(w.denominator for w in weights))
+        scaled = [int(w * denominator) for w in weights]
+        base = sum(map(mul, scaled, nm))
+    prefix = [1]
+    for i, branches in enumerate(true_branches):
+        if branches:
+            rest = convolve(prefix, suffix[i + 1])
+            if weights is None:
+                for v, true_c in branches.items():
+                    nm_true = pad(convolve(true_c, rest), n)
+                    out[v] = ([t - x for t, x in zip(total, nm_true)],
+                              [t - x + y for t, x, y in zip(total, nm, [0, *nm_true])])
+            else:
+                # Slices past the end truncate and ``map`` stops at the
+                # shorter operand: weights beyond size n - 1 count as zero.
+                transform = [sum(map(mul, rest, scaled[a:a + len(rest)]))
+                             for a in range(len(complements[i]))]
+                adjacent = [x + y for x, y in zip(transform, transform[1:])]
+                for v, true_c in branches.items():
+                    out[v] = Fraction(base - sum(map(mul, true_c, adjacent)),
+                                      denominator)
+        prefix = convolve(prefix, complements[i])
+    if free_variables and weights is None:
+        nm_free = pad(convolve(prefix, binomial_row(free - 1)), n)
+        shared = [t - x for t, x in zip(total, nm_free)]
+    for v in free_variables:
+        out[v] = Fraction(0) if weights is not None else (list(shared), list(shared))
+    return models, out
 
 
 class MonotoneDNF:
@@ -210,23 +293,18 @@ def _count_vector(clauses: frozenset[frozenset[int]],
     # Component decomposition: split clauses into variable-disjoint groups.
     components = _split_components(clauses)
     if len(components) > 1:
-        result: list[int] = [1]
+        # A subset satisfies the DNF iff it satisfies *some* component, so
+        # counts do not multiply — non-model counts do (``recombine``).
+        complements: list[list[int]] = []
         covered: set[int] = set()
         for component in components:
             component_vars = frozenset().union(*component)
             covered |= component_vars
-            component_count = list(_count_vector(frozenset(component), component_vars))
-            # Inclusion–exclusion is not needed: a subset satisfies the DNF iff it
-            # satisfies *some* component, so we cannot simply multiply counts.
-            # Instead we count the complement: subsets satisfying NO clause are
-            # products of per-component non-satisfying subsets.
-            complement = [math.comb(len(component_vars), k) - component_count[k]
-                          for k in range(len(component_vars) + 1)]
-            result = convolve(result, complement)
-        free = variables - covered
-        result = convolve(result, binomial_row(len(free)))
-        total = binomial_row(len(variables))
-        return tuple(total[k] - result[k] for k in range(len(variables) + 1))
+            count = _count_vector(frozenset(component), component_vars)
+            complements.append([total - models for total, models
+                                in zip(binomial_row(len(component_vars)), count)])
+        return tuple(recombine(complements, [{}] * len(complements),
+                               len(variables - covered))[0])
 
     # Branch on the most frequent variable.
     frequency: dict[int, int] = {}

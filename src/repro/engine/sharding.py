@@ -1,61 +1,72 @@
-"""Component decomposition of lineage DNFs: the engine's second sharding axis.
+"""Island sharding of lineage DNFs: one decomposition, one ladder, one recombination.
 
 The lineage of a hom-closed query over a realistic database splits into
 *variable-disjoint islands* (Section 4.1): groups of clauses sharing no
-endogenous fact.  The recursive counter and the circuit compiler already
-exploit that structure serially — both split on
-:func:`repro.counting.dnf_counter._split_components` and recombine through
-the complement product — but the PR 3 process pool ignored it, striping
-per-fact work over the *whole* formula and shipping the whole artefact to
-every worker.  This module makes the island the unit of sharding:
+endogenous fact.  Every exact route that prices a lineage island by island —
+the engine's component shard axis, the incremental patcher and the what-if
+patch route — goes through this module:
 
 * :func:`decompose_lineage` splits a lineage DNF into :class:`SubLineage`
-  components (each a self-contained :class:`~repro.counting.dnf_counter.MonotoneDNF`
-  over its own variables) plus the free variables no clause mentions,
-* :func:`solve_component` is the per-component kernel — compile the
-  sub-lineage to a circuit and sweep it, or condition it with the counter —
-  returning every per-fact conditioned model-count pair *local to the
-  component*.  A component's circuit is orders of magnitude smaller than the
-  whole formula's (Shannon expansion is super-linear), so component-wise
-  compute is **less total work**, not just spread work,
-* :func:`combine_component_pairs` recombines the local pairs into the global
-  conditioned FGMC vector pairs of Claim A.1 with the same convolution
-  identity the counter's complement trick uses: non-models of a disjunction
-  of disjoint components are the convolution product of per-component
-  non-models (free variables contribute a binomial row).  Prefix/suffix
-  products make the recombination ``O(m)`` convolutions for ``m`` components
-  instead of ``O(m^2)``.
+  islands (each a self-contained :class:`~repro.counting.dnf_counter.MonotoneDNF`
+  over its own variables) plus the free variables no clause mentions;
+* :func:`solve_islands` is **the island ladder**.  Per island, the first rung
+  that applies wins:
 
-All arithmetic is exact integer arithmetic computing the same quantities as
-:meth:`MonotoneDNF.conditioned_count_by_size`, so the values fed to the
-unchanged Claim A.1 combiner are bitwise-identical ``Fraction`` inputs — the
-parity contract every sharded backend of this package keeps.
+  1. **pairs hit** — the island's priced record (:class:`IslandPairs`, under
+     :func:`repro.workspace.store.pairs_key`) is in the store: no sweep;
+  2. **circuit hit** — the island's :class:`CompiledLineage` (under
+     :func:`~repro.workspace.store.circuit_key`) is in the store and fits the
+     node budget: one derivative sweep, no compile;
+  3. **seeded compile** — given the previous snapshot's lineage, the island
+     compiles warm-started from its best-overlapping old island's circuit
+     (:class:`~repro.compile.compiler.CompileSeed`);
+  4. **fresh compile** — :func:`solve_component`, counting the island instead
+     when it blows the node budget; on a process pool when ``workers > 1``.
+
+  Results are written back (``IslandPairs`` and ``CompiledLineage``, nothing
+  else) only when a store is attached; the rungs taken are tallied in
+  :class:`PatchStats`;
+* :func:`recombine_components` feeds the solved islands to the one
+  recombination kernel, :func:`repro.counting.dnf_counter.recombine`, which
+  returns the global FGMC vector with either every variable's conditioned
+  pair (:func:`combine_component_pairs`) or its semivalue.
+
+A component's circuit is orders of magnitude smaller than the whole
+formula's (Shannon expansion is super-linear), so island-wise compute is
+**less total work**, not just spread work.  All arithmetic is exact integer
+arithmetic computing the same quantities as
+:meth:`MonotoneDNF.conditioned_count_by_size`, so the values fed to the Claim
+A.1 combiner are bitwise-identical ``Fraction`` inputs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..compile.compiler import (
     DEFAULT_NODE_BUDGET,
     CircuitBudgetError,
     CompiledDNF,
+    CompiledLineage,
+    CompileSeed,
     compile_dnf,
 )
 from ..counting.dnf_counter import (
     MonotoneDNF,
     _split_components,
     binomial_row,
-    convolve,
-    pad,
+    recombine,
 )
 from ..reliability import faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..counting.lineage import Lineage
     from ..data.atoms import Fact
+    from ..queries.base import BooleanQuery
+    from ..workspace.store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -172,6 +183,34 @@ class ComponentResult:
     fallback: "str | None" = None
 
 
+@dataclass(frozen=True)
+class IslandPairs:
+    """One island's priced result, as stored under ``pairs_key``.
+
+    Content-addressed by the island's ``(query, sub-lineage)`` hash, so it is
+    decomposition-independent (no island index inside) and any snapshot
+    whose delta left the island untouched reloads it as a hit — the cheapest
+    rung of the ladder.  Records written before ``compile_time_s`` and
+    ``fallback`` existed load with both ``None``.
+    """
+
+    models: tuple[int, ...]
+    pairs: "dict[int, tuple[list[int], list[int]]]" = field(compare=False)
+    mode: str = "counting"
+    circuit_nodes: "int | None" = None
+    compile_time_s: "float | None" = None
+    fallback: "str | None" = None
+
+    def to_result(self, index: int) -> ComponentResult:
+        """The stored record as the per-island result of decomposition slot ``index``."""
+        return ComponentResult(index, **{f.name: getattr(self, f.name)
+                                         for f in fields(self)})
+
+    @classmethod
+    def from_result(cls, result: ComponentResult) -> "IslandPairs":
+        return cls(**{f.name: getattr(result, f.name) for f in fields(cls)})
+
+
 def result_from_compiled(index: int, compiled: CompiledDNF,
                          compile_time_s: "float | None" = None,
                          keep_circuit: bool = False) -> ComponentResult:
@@ -203,19 +242,23 @@ def _result_by_counting(sub: SubLineage, index: int) -> ComponentResult:
 
 def solve_component(sub: SubLineage, index: int, mode: str = "counting",
                     node_budget: int = DEFAULT_NODE_BUDGET,
-                    keep_circuit: bool = False) -> ComponentResult:
+                    keep_circuit: bool = False,
+                    seed: "CompileSeed | None" = None,
+                    retain_cache: bool = False) -> ComponentResult:
     """Solve one island: compile-and-sweep (``"circuit"``) or condition (``"counting"``).
 
     The node budget applies *per component* in circuit mode; an island that
     blows it is counted instead (recorded in ``fallback``) while the other
     islands keep their circuits — the graceful degradation the whole-formula
-    compiler can only apply all-or-nothing.
+    compiler can only apply all-or-nothing.  ``seed`` and ``retain_cache``
+    pass through to :func:`~repro.compile.compiler.compile_dnf`.
     """
     faults.check("engine.solve_component")
     if mode == "circuit":
         start = time.perf_counter()
         try:
-            compiled = compile_dnf(sub.dnf, node_budget=node_budget)
+            compiled = compile_dnf(sub.dnf, node_budget=node_budget,
+                                   retain_cache=retain_cache, seed=seed)
         except CircuitBudgetError as error:
             return replace(_result_by_counting(sub, index), fallback=str(error))
         return result_from_compiled(index, compiled,
@@ -224,6 +267,201 @@ def solve_component(sub: SubLineage, index: int, mode: str = "counting",
     if mode != "counting":
         raise ValueError(f"unknown component mode {mode!r}")
     return _result_by_counting(sub, index)
+
+
+@dataclass
+class PatchStats:
+    """Which rung of the island ladder priced each island (audit record)."""
+
+    islands: int = 0
+    free_variables: int = 0
+    pairs_hits: int = 0
+    circuit_hits: int = 0
+    seeded_compiles: int = 0
+    fresh_compiles: int = 0
+    counting_islands: int = 0
+
+    @property
+    def reused(self) -> int:
+        """Islands that paid no compile at all (pairs or circuit hits)."""
+        return self.pairs_hits + self.circuit_hits
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class SolvedIslands:
+    """The ladder's output: one result per island, in decomposition order.
+
+    ``workers_used`` is ``1`` unless a pool ran; ``pool_fallback`` is the
+    audit line when the pool was unavailable or lost islands to failures.
+    """
+
+    results: "tuple[ComponentResult, ...]"
+    stats: PatchStats
+    workers_used: int = 1
+    pool_fallback: "str | None" = None
+
+
+def solve_islands(query: "BooleanQuery", decomposition: LineageDecomposition,
+                  facts: "Sequence[Fact]", *,
+                  store: "ArtifactStore | None" = None, mode: str = "circuit",
+                  node_budget: int = DEFAULT_NODE_BUDGET,
+                  previous: "Lineage | Callable[[], Lineage | None] | None" = None,
+                  retain_cache: bool = False, workers: int = 1) -> SolvedIslands:
+    """Price every island of ``decomposition`` through the ladder (module doc).
+
+    ``facts`` is the lineage's variable tuple (islands are store-keyed by
+    their facts).  ``mode`` picks the kernel for islands missing every cache.
+    ``previous`` — the pre-delta lineage, or a zero-argument callable
+    returning it, called at most once and only when some island reaches the
+    seeded rung — enables seeded compiles.  ``retain_cache`` keeps the
+    compiled circuits' formula caches so a later ladder can seed from them.
+    """
+    if mode not in ("circuit", "counting"):
+        raise ValueError(f"unknown component mode {mode!r}")
+    components = decomposition.components
+    stats = PatchStats(islands=len(components),
+                       free_variables=len(decomposition.free_variables))
+    results: "list[ComponentResult | None]" = [None] * len(components)
+    keys: list = [None] * len(components)
+    pending: "list[int]" = []
+    keep = store is not None
+    if keep:
+        from ..workspace.store import circuit_key, pairs_key
+    for i, sub in enumerate(components):
+        if keep:
+            island = sub.to_lineage(facts)
+            keys[i] = (island, pairs_key(query, island), circuit_key(query, island))
+            hit = store.get(keys[i][1])
+            if isinstance(hit, IslandPairs) and len(hit.models) == sub.n_variables + 1:
+                stats.pairs_hits += 1
+                results[i] = hit.to_result(i)
+                continue
+            hit = store.get(keys[i][2])
+            if (isinstance(hit, CompiledLineage) and hit.size <= node_budget
+                    and hit.n_variables == sub.n_variables):
+                stats.circuit_hits += 1
+                results[i] = result_from_compiled(i, hit.compiled, hit.compile_time_s)
+                store.put(keys[i][1], IslandPairs.from_result(results[i]))
+                continue
+        pending.append(i)
+
+    serial = pending
+    workers_used, pool_fallback = 1, None
+    if workers > 1 and len(pending) >= 2:
+        from . import parallel
+
+        outcome = parallel.parallel_component_results(
+            [(i, components[i]) for i in pending], mode, node_budget, workers,
+            keep_circuits=keep)
+        if outcome is None:
+            pool_fallback = ("pool→serial: the process pool was unavailable; "
+                             "every island solved in-process")
+        else:
+            for result in outcome.results:
+                results[result.index] = result
+            workers_used = min(workers, len(pending))
+            if outcome.retried or outcome.degraded:
+                pool_fallback = (
+                    f"pool→in-process: {outcome.retried} island task(s) "
+                    f"resubmitted after worker failure, {outcome.degraded} "
+                    f"of {len(pending)} island(s) solved in the parent")
+            serial = []
+    old = None      # (previous lineage, its decomposition), resolved once
+    seeded: "set[int]" = set()
+    for i in serial:
+        seed = None
+        if keep and previous is not None and mode == "circuit":
+            if old is None:
+                lineage = previous() if callable(previous) else previous
+                old = () if lineage is None else (lineage, decompose_lineage(lineage))
+            if old:
+                seed = _overlap_seed(query, store, components[i], facts, *old)
+        if seed is not None:
+            seeded.add(i)
+        results[i] = solve_component(components[i], i, mode, node_budget,
+                                     keep_circuit=keep, seed=seed,
+                                     retain_cache=retain_cache)
+
+    for i in pending:
+        result = results[i]
+        if result.mode == "counting":
+            stats.counting_islands += 1
+        elif i in seeded:
+            stats.seeded_compiles += 1
+        else:
+            stats.fresh_compiles += 1
+        if keep:
+            island, pkey, ckey = keys[i]
+            if result.compiled is not None:
+                store.put(ckey, CompiledLineage(island, result.compiled,
+                                                result.compile_time_s or 0.0))
+                result = results[i] = replace(result, compiled=None)
+            store.put(pkey, IslandPairs.from_result(result))
+    return SolvedIslands(tuple(results), stats, workers_used, pool_fallback)
+
+
+def _overlap_seed(query, store, sub: SubLineage, facts, previous: "Lineage",
+                  old: LineageDecomposition) -> "CompileSeed | None":
+    """A compile seed from the previous snapshot's best-overlapping island.
+
+    Needs the old island's circuit *with its formula cache* in the store —
+    only circuits compiled with ``retain_cache`` carry one.  Variables are
+    renumbered old-local → new-local by fact identity, which is injective by
+    construction.
+    """
+    local = {facts[g]: j for j, g in enumerate(sub.variables)}
+
+    def overlap(old_sub: SubLineage) -> int:
+        return sum(previous.variables[g] in local for g in old_sub.variables)
+
+    best = max(old.components, key=overlap, default=None)
+    if best is None or not overlap(best):
+        return None
+    from ..workspace.store import circuit_key
+
+    cached = store.get(circuit_key(query, best.to_lineage(previous.variables)))
+    if not isinstance(cached, CompiledLineage) or cached.compiled.formula_cache is None:
+        return None
+    renumber = {j: local[previous.variables[g]] for j, g in enumerate(best.variables)
+                if previous.variables[g] in local}
+    try:
+        return CompileSeed(cached.compiled, renumber)
+    except ValueError:
+        return None
+
+
+def recombine_components(decomposition: LineageDecomposition,
+                         results: "Sequence[ComponentResult]",
+                         weights: "Sequence[Fraction] | None" = None,
+                         ) -> "tuple[list[int], dict]":
+    """The global FGMC vector plus pairs (or semivalues) from solved islands.
+
+    Flips each island's model-space result into the complement vectors
+    :func:`~repro.counting.dnf_counter.recombine` takes and returns its
+    output keyed by *global* variable: ``(models, {v: pair})``, or
+    ``(models, {v: semivalue})`` given ``weights``.  A trivially true
+    lineage is one constant-true factor over zero variables.
+    """
+    ordered = sorted(results, key=lambda r: r.index)
+    if len(ordered) != decomposition.n_components or any(
+            r.index != i for i, r in enumerate(ordered)):
+        raise ValueError("results do not cover the decomposition's components")
+    complements: "list[list[int]]" = []
+    branches: "list[dict[int, list[int]]]" = []
+    for sub, result in zip(decomposition.components, ordered):
+        local_total = binomial_row(sub.n_variables - 1)
+        complements.append([total - count for total, count
+                            in zip(binomial_row(sub.n_variables), result.models)])
+        branches.append({sub.variables[v]: [t - x for t, x in zip(local_total, true_models)]
+                         for v, (true_models, _) in result.pairs.items()})
+    if decomposition.trivially_true:
+        complements.append([0])
+        branches.append({})
+    free = decomposition.free_variables
+    return recombine(complements, branches, len(free), free, weights)
 
 
 def combine_component_pairs(decomposition: LineageDecomposition,
@@ -235,77 +473,23 @@ def combine_component_pairs(decomposition: LineageDecomposition,
     vectors of length ``n`` (sizes ``0 .. n-1`` over the other ``n-1``
     variables) — integer for integer what
     :meth:`MonotoneDNF.conditioned_count_by_size` returns on the whole
-    formula, ready for the unchanged Claim A.1 combiner.
-
-    The identity is the counter's complement trick run in reverse: a subset
-    falsifies the disjunction of disjoint islands iff it falsifies every
-    island, so global non-models are the convolution product of per-island
-    non-models (free variables contribute a binomial row).  Conditioning a
-    variable of island ``i`` replaces only factor ``i``; prefix/suffix
-    products of the island non-model vectors give each island its
-    "product of the others" in ``O(m)`` convolutions total.
+    formula, ready for the Claim A.1 combiner.
     """
-    n = decomposition.n_variables
-    pairs: "dict[int, tuple[list[int], list[int]]]" = {}
-    if n == 0:
-        return pairs
-    total = binomial_row(n - 1)
-    if decomposition.trivially_true:
-        # Every subset satisfies the formula under either restriction.
-        for v in range(n):
-            pairs[v] = (list(total), list(total))
-        return pairs
-
-    ordered = sorted(results, key=lambda r: r.index)
-    if len(ordered) != decomposition.n_components or any(
-            r.index != i for i, r in enumerate(ordered)):
-        raise ValueError("results do not cover the decomposition's components")
-
-    # Per-island non-model vectors: N_i[k] = C(n_i, k) - M_i[k].
-    nonmodels: list[list[int]] = []
-    for sub, res in zip(decomposition.components, ordered):
-        row = binomial_row(sub.n_variables)
-        nonmodels.append([row[k] - res.models[k]
-                          for k in range(sub.n_variables + 1)])
-    m = len(nonmodels)
-    prefix: list[list[int]] = [[1]]
-    for vector in nonmodels:
-        prefix.append(convolve(prefix[-1], vector))
-    suffix: list[list[int]] = [[1]] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = convolve(nonmodels[i], suffix[i + 1])
-    free_count = len(decomposition.free_variables)
-    free_row = binomial_row(free_count)
-
-    for i, (sub, res) in enumerate(zip(decomposition.components, ordered)):
-        rest = convolve(convolve(prefix[i], suffix[i + 1]), free_row)
-        ni = sub.n_variables
-        local_total = binomial_row(ni - 1)
-        for local_v, (true_models, false_models) in res.pairs.items():
-            out: list[list[int]] = []
-            for branch in (true_models, false_models):
-                branch_nonmodels = [local_total[k] - branch[k] for k in range(ni)]
-                nm = pad(convolve(branch_nonmodels, rest), n)
-                out.append([total[k] - nm[k] for k in range(n)])
-            pairs[sub.variables[local_v]] = (out[0], out[1])
-
-    if decomposition.free_variables:
-        # Conditioning a free variable leaves the formula unchanged; both
-        # restrictions count its models over the remaining n - 1 variables.
-        nm_free = pad(convolve(prefix[m], binomial_row(free_count - 1)), n)
-        shared = [total[k] - nm_free[k] for k in range(n)]
-        for v in decomposition.free_variables:
-            pairs[v] = (list(shared), list(shared))
-    return pairs
+    return recombine_components(decomposition, results)[1]
 
 
 __all__ = [
     "ComponentResult",
+    "IslandPairs",
     "LineageDecomposition",
+    "PatchStats",
+    "SolvedIslands",
     "SubLineage",
     "combine_component_pairs",
     "decompose_dnf",
     "decompose_lineage",
+    "recombine_components",
     "result_from_compiled",
     "solve_component",
+    "solve_islands",
 ]

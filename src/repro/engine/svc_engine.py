@@ -258,17 +258,10 @@ class SVCEngine:
         if self._plan is None:
             if not isinstance(self.query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
                 raise UnsafeQueryError("the safe pipeline applies to CQs and UCQs only")
-            if self.store is None:
-                self._plan = safe_plan(self.query)
-            else:
-                from ..workspace.store import plan_key
+            from ..workspace.store import cached, plan_key
 
-                cached = self.store.get(plan_key(self.query))
-                if isinstance(cached, Plan):
-                    self._plan = cached
-                else:
-                    self._plan = safe_plan(self.query)
-                    self.store.put(plan_key(self.query), self._plan)
+            self._plan = cached(self.store, lambda: plan_key(self.query), Plan,
+                                lambda: safe_plan(self.query))
         return self._plan
 
     def lineage(self) -> Lineage:
@@ -280,18 +273,11 @@ class SVCEngine:
         later engines (and later processes, for a disk-backed store) reuse it.
         """
         if self._lineage is None:
-            if self.store is None:
-                self._lineage = build_lineage(self.query, self.pdb)
-            else:
-                from ..workspace.store import lineage_key
+            from ..workspace.store import cached, lineage_key
 
-                key = lineage_key(self.query, self.pdb)
-                cached = self.store.get(key)
-                if isinstance(cached, Lineage):
-                    self._lineage = cached
-                else:
-                    self._lineage = build_lineage(self.query, self.pdb)
-                    self.store.put(key, self._lineage)
+            self._lineage = cached(
+                self.store, lambda: lineage_key(self.query, self.pdb), Lineage,
+                lambda: build_lineage(self.query, self.pdb))
         return self._lineage
 
     def _ensure_compiled(self) -> CompiledLineage:
@@ -305,20 +291,14 @@ class SVCEngine:
         as a fresh compilation would).
         """
         if self._compiled is None:
-            key = None
-            if self.store is not None:
-                from ..workspace.store import circuit_key
+            from ..workspace.store import cached, circuit_key
 
-                key = circuit_key(self.query, self.lineage())
-            cached = None if key is None else self.store.get(key)
-            if (isinstance(cached, CompiledLineage)
-                    and cached.size <= self.circuit_node_budget):
-                self._compiled = cached
-            else:
-                self._compiled = compile_lineage(
-                    self.lineage(), node_budget=self.circuit_node_budget)
-                if key is not None:
-                    self.store.put(key, self._compiled)
+            budget = self.circuit_node_budget
+            self._compiled = cached(
+                self.store, lambda: circuit_key(self.query, self.lineage()),
+                CompiledLineage,
+                lambda: compile_lineage(self.lineage(), node_budget=budget),
+                accept=lambda compiled: compiled.size <= budget)
         return self._compiled
 
     def _fgmc_via_plan(self, pdb: PartitionedDatabase) -> list[int]:
@@ -407,74 +387,33 @@ class SVCEngine:
         return self._decomposition().n_components >= 2
 
     def _component_results(self) -> "tuple[sharding.ComponentResult, ...]":
-        """Every island solved — store hits swept, misses solved (pool or serial).
+        """Every island priced through the island ladder (:func:`sharding.solve_islands`).
 
-        With an artifact store attached and the circuit mode active, each
-        island's circuit is keyed by the content hash of ``(query,
-        sub-lineage)``: a database delta inside the lineage support
-        recompiles only the island it touches, every other island is a store
-        hit swept without recompilation.
+        With an artifact store attached, a database delta inside the lineage
+        support re-prices only the island it touches; every other island is a
+        store hit.  Misses are solved on a process pool when ``workers > 1``
+        and the instance reaches ``parallel_threshold``.
         """
         if self._component_results_memo is not None:
             return self._component_results_memo
         decomposition = self._decomposition()
-        mode = "circuit" if self.backend() == "circuit" else "counting"
-        count = decomposition.n_components
-        results: "list[sharding.ComponentResult | None]" = [None] * count
-        keys = [None] * count
-        if self.store is not None and mode == "circuit":
-            from ..workspace.store import circuit_key
-
-            facts = self.lineage().variables
-            for i, sub in enumerate(decomposition.components):
-                keys[i] = circuit_key(self.query, sub.to_lineage(facts))
-                cached = self.store.get(keys[i])
-                if (isinstance(cached, CompiledLineage)
-                        and cached.size <= self.circuit_node_budget):
-                    results[i] = sharding.result_from_compiled(
-                        i, cached.compiled, cached.compile_time_s)
-        pending = [i for i in range(count) if results[i] is None]
-        keep = self.store is not None and mode == "circuit"
-        if (len(pending) >= 2 and self.workers > 1
-                and len(self.pdb.endogenous) >= self.parallel_threshold):
-            outcome = parallel.parallel_component_results(
-                [(i, decomposition.components[i]) for i in pending],
-                mode, self.circuit_node_budget, self.workers,
-                keep_circuits=keep)
-            if outcome is not None:
-                for result in outcome.results:
-                    results[result.index] = result
-                self._workers_used = min(self.workers, len(pending))
-                if outcome.retried or outcome.degraded:
-                    self._pool_fallback = (
-                        f"pool→in-process: {outcome.retried} island task(s) "
-                        f"resubmitted after worker failure, {outcome.degraded} "
-                        f"of {len(pending)} island(s) solved in the parent")
-                pending = []
-            else:
-                self._pool_fallback = (
-                    "pool→serial: the process pool was unavailable; every "
-                    "island solved in-process")
-        for i in pending:
-            results[i] = sharding.solve_component(
-                decomposition.components[i], i, mode,
-                self.circuit_node_budget, keep_circuit=keep)
-        fallbacks = [r for r in results if r.fallback is not None]
+        workers = (self.workers
+                   if len(self.pdb.endogenous) >= self.parallel_threshold else 1)
+        solved = sharding.solve_islands(
+            self.query, decomposition, self.lineage().variables,
+            store=self.store,
+            mode="circuit" if self.backend() == "circuit" else "counting",
+            node_budget=self.circuit_node_budget, workers=workers)
+        if solved.workers_used > 1:
+            self._workers_used = solved.workers_used
+        if solved.pool_fallback is not None:
+            self._pool_fallback = solved.pool_fallback
+        fallbacks = [r for r in solved.results if r.fallback is not None]
         if fallbacks and self._circuit_fallback is None:
             self._circuit_fallback = (
-                f"{len(fallbacks)} of {count} components fell back to "
-                f"counting: {fallbacks[0].fallback}")
-        if keep:
-            # Only freshly compiled islands carry a circuit (store hits and
-            # counting fallbacks do not) — persist exactly those.
-            facts = self.lineage().variables
-            for i, result in enumerate(results):
-                if result.compiled is not None and keys[i] is not None:
-                    sub_lineage = decomposition.components[i].to_lineage(facts)
-                    self.store.put(keys[i], CompiledLineage(
-                        sub_lineage, result.compiled,
-                        result.compile_time_s or 0.0))
-        self._component_results_memo = tuple(results)
+                f"{len(fallbacks)} of {len(solved.results)} components fell "
+                f"back to counting: {fallbacks[0].fallback}")
+        self._component_results_memo = solved.results
         return self._component_results_memo
 
     def _value_sharded(self, fact: Fact) -> Fraction:
@@ -628,7 +567,7 @@ class SVCEngine:
         """
         if self._compiled is not None:
             return self._compiled.size
-        if self._component_results_memo is not None:
+        if self._component_results_memo is not None and self._backend == "circuit":
             nodes = [r.circuit_nodes for r in self._component_results_memo
                      if r.circuit_nodes is not None]
             return sum(nodes) if nodes else None
@@ -643,7 +582,7 @@ class SVCEngine:
         """
         if self._compiled is not None:
             return self._compiled.compile_time_s
-        if self._component_results_memo is not None:
+        if self._component_results_memo is not None and self._backend == "circuit":
             times = [r.compile_time_s for r in self._component_results_memo
                      if r.compile_time_s is not None]
             return sum(times) if times else None
@@ -809,20 +748,16 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
                        workers, parallel_threshold, circuit_node_budget,
                        store, shard, index)
     if plan is not None:
-        engine._plan = plan  # auto already compiled it: don't pay twice
-        if store is not None:
-            # Seeding bypasses _ensure_plan, so persist the plan here —
-            # otherwise auto-dispatched plans never reach the store and
-            # explicit method="safe" callers in other processes recompile.
-            # Guarded by a get: a workspace produces a new snapshot (an
-            # engine miss) per delta, and the plan for a fixed query never
-            # changes, so an unconditional put would rewrite the same
-            # artifact on every refresh.
-            from ..workspace.store import plan_key
+        # auto already compiled the plan: don't pay twice.  Seeding bypasses
+        # _ensure_plan, so persist it here too — otherwise auto-dispatched
+        # plans never reach the store and explicit method="safe" callers in
+        # other processes recompile.  A stored plan is kept as is: the plan
+        # of a fixed query never changes, and a workspace builds a new engine
+        # per snapshot.
+        from ..workspace.store import cached, plan_key
 
-            pkey = plan_key(query)
-            if store.get(pkey) is None:
-                store.put(pkey, plan)
+        engine._plan = cached(store, lambda: plan_key(query), Plan,
+                              lambda: plan)
     with _ENGINE_CACHE_LOCK:
         _ENGINE_CACHE[key] = engine
         while len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:

@@ -24,7 +24,6 @@ from .patch import (
     IslandPairs,
     PatchResult,
     PatchStats,
-    combine_component_semivalues,
     patch_attribution,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "SnapshotDelta",
     "SupportDiff",
     "apply_delta",
-    "combine_component_semivalues",
     "diff_supports",
     "patch_attribution",
     "supports_through",

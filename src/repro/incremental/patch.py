@@ -1,57 +1,39 @@
 """Circuit patching: recompute only the islands a lineage delta touched.
 
 A cold refresh recompiles and resweeps the *whole* lineage after every
-in-support delta.  But the PR 6 decomposition already proves the expensive
-artefacts factor along the lineage's variable-disjoint islands, and the
-artifact store already keys them by ``(query, sub-lineage)`` content hash —
-so a single-fact delta, which perturbs exactly one island, should pay for
-exactly one island.  :func:`patch_attribution` is that ladder, per island:
+in-support delta.  But the decomposition proves the expensive artefacts
+factor along the lineage's variable-disjoint islands, and the artifact store
+keys them by ``(query, sub-lineage)`` content hash — so a single-fact delta,
+which perturbs exactly one island, should pay for exactly one island.
 
-1. **pairs hit** — the island's conditioned-pair record
-   (:class:`IslandPairs`, keyed by :func:`repro.workspace.store.pairs_key`)
-   is in the store: reuse it outright, no sweep, no compile;
-2. **circuit hit** — the island's compiled circuit is in the store: one
-   derivative sweep re-prices the island, no compile;
-3. **seeded compile** — compile the island's DNF warm-started from the
-   previous snapshot's best-overlapping island circuit
-   (:class:`repro.compile.compiler.CompileSeed`): sub-formulas whose clause
-   set survived the delta are grafted, only changed ones re-expand;
-4. **fresh compile / counting** — the cold kernel
-   (:func:`repro.engine.sharding.solve_component`), budget fallback included.
-
-The per-island results recombine with the sharding layer's exact convolution
-identities; semivalue indices take :func:`combine_component_semivalues`, a
-U-transform that skips materialising the per-variable global vectors
-(``O(n²)`` total instead of ``O(n² · island)``), which is where the steady
-state's ≥5x over cold comes from.  Everything is exact integer / ``Fraction``
-arithmetic computing the same quantities as a cold session — bitwise parity
-is the contract, and the property tests hold it across backends and stores.
+:func:`patch_attribution` is the engine's island ladder
+(:func:`repro.engine.sharding.solve_islands`) run with the pre-delta lineage
+at hand: untouched islands are pairs or circuit hits, and a changed island
+recompiles *seeded* from the previous snapshot's best-overlapping island
+circuit.  The patcher keeps every circuit it compiles seedable (formula
+cache retained), so the next delta on the same island seeds from this one.
+Semivalue indices then take the recombination kernel's U-transform output
+(:func:`repro.counting.dnf_counter.recombine`), which skips materialising
+per-variable global vectors — where the steady state's ≥5x over cold comes
+from; other indices combine the kernel's pairs.  Everything is exact integer
+/ ``Fraction`` arithmetic computing the same quantities as a cold session —
+bitwise parity is the contract, and the property tests hold it across
+backends and stores.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
-from ..compile.compiler import (
-    DEFAULT_NODE_BUDGET,
-    CircuitBudgetError,
-    CompiledDNF,
-    CompiledLineage,
-    CompileSeed,
-    compile_dnf,
-)
-from ..counting.dnf_counter import binomial_row, convolve, pad
+from ..compile.compiler import DEFAULT_NODE_BUDGET
 from ..engine.sharding import (
-    ComponentResult,
-    LineageDecomposition,
+    IslandPairs,
+    PatchStats,
     decompose_lineage,
-    result_from_compiled,
-    solve_component,
+    recombine_components,
+    solve_islands,
 )
 from ..values.indexes import ValueIndex, get_index
 
@@ -60,62 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.atoms import Fact
     from ..queries.base import BooleanQuery
     from ..workspace.store import ArtifactStore
-
-
-@dataclass(frozen=True)
-class IslandPairs:
-    """One island's priced result, as stored under ``pairs_key``.
-
-    Content-addressed by the island's ``(query, sub-lineage)`` hash, so it is
-    decomposition-independent (no island index inside) and any snapshot whose
-    delta left the island untouched reloads it as a hit — the cheapest rung
-    of the patch ladder.
-    """
-
-    models: tuple[int, ...]
-    pairs: "dict[int, tuple[list[int], list[int]]]" = field(compare=False)
-    mode: str = "counting"
-    circuit_nodes: "int | None" = None
-
-    def to_result(self, index: int) -> ComponentResult:
-        """The stored record as the sharding layer's per-island result."""
-        return ComponentResult(index=index, models=self.models,
-                               pairs=self.pairs, mode=self.mode,
-                               circuit_nodes=self.circuit_nodes)
-
-    @classmethod
-    def from_result(cls, result: ComponentResult) -> "IslandPairs":
-        return cls(models=tuple(result.models), pairs=result.pairs,
-                   mode=result.mode, circuit_nodes=result.circuit_nodes)
-
-
-@dataclass
-class PatchStats:
-    """How much of the lineage a patch actually recomputed (audit record)."""
-
-    islands: int = 0
-    free_variables: int = 0
-    pairs_hits: int = 0
-    circuit_hits: int = 0
-    seeded_compiles: int = 0
-    fresh_compiles: int = 0
-    counting_islands: int = 0
-
-    @property
-    def reused(self) -> int:
-        """Islands that paid no compile at all (pairs or circuit hits)."""
-        return self.pairs_hits + self.circuit_hits
-
-    def to_json_dict(self) -> dict:
-        return {
-            "islands": self.islands,
-            "free_variables": self.free_variables,
-            "pairs_hits": self.pairs_hits,
-            "circuit_hits": self.circuit_hits,
-            "seeded_compiles": self.seeded_compiles,
-            "fresh_compiles": self.fresh_compiles,
-            "counting_islands": self.counting_islands,
-        }
 
 
 @dataclass(frozen=True)
@@ -131,142 +57,6 @@ class PatchResult:
     def satisfiable(self) -> bool:
         """Whether the full endogenous set (with ``Dx``) satisfies the query."""
         return bool(self.models) and self.models[-1] > 0
-
-
-def combine_component_semivalues(decomposition: LineageDecomposition,
-                                 results: "Sequence[ComponentResult]",
-                                 index: ValueIndex) -> "dict[int, Fraction]":
-    """Per-variable semivalue straight from per-island pairs — no global vectors.
-
-    For a semivalue with stratum weights ``w(j, n)`` the value is linear in
-    the global conditioned pair, and the global swing surplus of a variable
-    in island ``i`` is the convolution of its *local* swing vector with the
-    other islands' non-model product ``rest_i``:
-
-    ``value(v) = Σ_a (true_i[a] - false_i[a]) · U_i[a]`` with
-    ``U_i[a] = Σ_b rest_i[b] · w(a + b, n)``
-
-    — the same identity :func:`repro.engine.sharding.combine_component_pairs`
-    expands into full length-``n`` vectors, transposed onto the weights so
-    each variable costs a dot product of island length.  Arithmetic runs in
-    integers over the weights' common denominator; the final ``Fraction``
-    normalises, so values are bitwise-identical to
-    ``index.combine`` on the materialised pairs.
-    """
-    if not index.is_semivalue:
-        raise ValueError(
-            f"index {index.name!r} is not a semivalue; combine pairs instead")
-    n = decomposition.n_variables
-    values: "dict[int, Fraction]" = {}
-    if n == 0:
-        return values
-    if decomposition.trivially_true:
-        for v in range(n):
-            values[v] = Fraction(0)     # with == without for every variable
-        return values
-
-    ordered = sorted(results, key=lambda r: r.index)
-    if len(ordered) != decomposition.n_components or any(
-            r.index != i for i, r in enumerate(ordered)):
-        raise ValueError("results do not cover the decomposition's components")
-
-    weights = [index.subset_weight(j, n) for j in range(n)]
-    denominator = 1
-    for w in weights:
-        denominator = lcm(denominator, w.denominator)
-    scaled = [int(w * denominator) for w in weights]
-    # Padded so the strided slices below never run off the end (the largest
-    # offset is n - 1 plus the free-variable row's degree).
-    padded = scaled + [0] * (n + 2)
-
-    nonmodels: "list[list[int]]" = []
-    for sub, res in zip(decomposition.components, ordered):
-        row = binomial_row(sub.n_variables)
-        nonmodels.append([row[k] - res.models[k]
-                          for k in range(sub.n_variables + 1)])
-    m = len(nonmodels)
-    prefix: "list[list[int]]" = [[1]]
-    for vector in nonmodels:
-        prefix.append(convolve(prefix[-1], vector))
-    # Seeding the suffix products with the free-variable row folds its
-    # convolution into the sweep once instead of once per island.
-    free_row = binomial_row(len(decomposition.free_variables))
-    suffix: "list[list[int]]" = [free_row] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = convolve(nonmodels[i], suffix[i + 1])
-
-    for i, (sub, res) in enumerate(zip(decomposition.components, ordered)):
-        rest = convolve(prefix[i], suffix[i + 1])
-        width = sub.n_variables          # local strata run 0 .. n_i - 1
-        span = len(rest)
-        transform = [sum(map(mul, rest, padded[a:a + span]))
-                     for a in range(width)]
-        for local_v, (true_models, false_models) in res.pairs.items():
-            numerator = sum((true_models[a] - false_models[a]) * transform[a]
-                            for a in range(len(true_models)))
-            values[sub.variables[local_v]] = Fraction(numerator, denominator)
-    for v in decomposition.free_variables:
-        values[v] = Fraction(0)          # null player: with == without
-    return values
-
-
-def _global_models(decomposition: LineageDecomposition,
-                   results: "Sequence[ComponentResult]") -> "list[int]":
-    """The full lineage's FGMC vector from the per-island model vectors."""
-    n = decomposition.n_variables
-    total = binomial_row(n)
-    if decomposition.trivially_true:
-        return list(total)
-    product = [1]
-    for sub, res in zip(decomposition.components,
-                        sorted(results, key=lambda r: r.index)):
-        row = binomial_row(sub.n_variables)
-        product = convolve(product, [row[k] - res.models[k]
-                                     for k in range(sub.n_variables + 1)])
-    nonmodels = pad(convolve(
-        product, binomial_row(len(decomposition.free_variables))), n + 1)
-    return [total[k] - nonmodels[k] for k in range(n + 1)]
-
-
-def _best_overlap_seed(sub, new_facts: "tuple[Fact, ...]",
-                       previous: "Callable[[], Lineage | None]",
-                       query: "BooleanQuery",
-                       store: "ArtifactStore") -> "CompileSeed | None":
-    """A compile seed from the previous snapshot's best-overlapping island.
-
-    Needs the old island's circuit *with its formula cache* in the store
-    (only circuits this module put there carry one — the first patched
-    refresh seeds nothing and warms the store for the next).  Variables are
-    renumbered old-local → new-local by fact identity, which is injective by
-    construction.
-    """
-    previous = previous()
-    if previous is None:
-        return None
-    from ..workspace.store import circuit_key
-
-    new_fact_to_local = {new_facts[g]: j for j, g in enumerate(sub.variables)}
-    best = None
-    best_overlap = 0
-    for old_sub in decompose_lineage(previous).components:
-        old_facts = tuple(previous.variables[g] for g in old_sub.variables)
-        overlap = sum(1 for f in old_facts if f in new_fact_to_local)
-        if overlap > best_overlap:
-            best, best_overlap = (old_sub, old_facts), overlap
-    if best is None:
-        return None
-    old_sub, old_facts = best
-    cached = store.get(circuit_key(query, old_sub.to_lineage(previous.variables)))
-    if isinstance(cached, CompiledLineage):
-        cached = cached.compiled
-    if not isinstance(cached, CompiledDNF) or cached.formula_cache is None:
-        return None
-    renumber = {j: new_fact_to_local[f] for j, f in enumerate(old_facts)
-                if f in new_fact_to_local}
-    try:
-        return CompileSeed(cached, renumber)
-    except ValueError:
-        return None
 
 
 def patch_attribution(query: "BooleanQuery", lineage: "Lineage", *,
@@ -287,86 +77,31 @@ def patch_attribution(query: "BooleanQuery", lineage: "Lineage", *,
     variables price to 0) plus the global FGMC vector — bitwise what a cold
     session computes.
     """
-    from ..workspace.store import circuit_key, pairs_key
-
     index = get_index(index)
     if mode not in ("circuit", "counting"):
         raise ValueError(f"unknown patch mode {mode!r}")
     decomposition = decompose_lineage(lineage)
-    stats = PatchStats(islands=decomposition.n_components,
-                       free_variables=len(decomposition.free_variables))
-    variables = lineage.variables
-
-    resolved: "list[Lineage | None]" = []
-
-    def previous_lineage() -> "Lineage | None":
-        # Memoised lazy resolution: building the pre-delta lineage costs a
-        # full sort + DNF construction, wasted whenever every island hits.
-        if not resolved:
-            resolved.append(previous() if callable(previous) else previous)
-        return resolved[0]
-
-    results: "list[ComponentResult]" = []
-    for i, sub in enumerate(decomposition.components):
-        island_lineage = sub.to_lineage(variables)
-        pkey = pairs_key(query, island_lineage)
-        cached_pairs = store.get(pkey)
-        if isinstance(cached_pairs, IslandPairs) and (
-                len(cached_pairs.models) == sub.n_variables + 1):
-            stats.pairs_hits += 1
-            results.append(cached_pairs.to_result(i))
-            continue
-        ckey = circuit_key(query, island_lineage)
-        cached_circuit = store.get(ckey)
-        if isinstance(cached_circuit, CompiledLineage):
-            cached_circuit = cached_circuit.compiled
-        if isinstance(cached_circuit, CompiledDNF) and (
-                cached_circuit.n_variables == sub.n_variables):
-            stats.circuit_hits += 1
-            result = result_from_compiled(i, cached_circuit)
-        elif mode == "circuit":
-            seed = _best_overlap_seed(sub, variables, previous_lineage,
-                                      query, store)
-            start = time.perf_counter()
-            try:
-                compiled = compile_dnf(sub.dnf, node_budget=node_budget,
-                                       retain_cache=True, seed=seed)
-            except CircuitBudgetError:
-                stats.counting_islands += 1
-                result = solve_component(sub, i, mode="counting")
-            else:
-                if seed is not None:
-                    stats.seeded_compiles += 1
-                else:
-                    stats.fresh_compiles += 1
-                store.put(ckey, compiled)
-                result = result_from_compiled(
-                    i, compiled, compile_time_s=time.perf_counter() - start)
-        else:
-            stats.counting_islands += 1
-            result = solve_component(sub, i, mode="counting")
-        store.put(pkey, IslandPairs.from_result(result))
-        results.append(result)
-
-    if index.is_semivalue:
-        by_variable = combine_component_semivalues(decomposition, results, index)
-    else:
-        from ..engine.sharding import combine_component_pairs
-
-        n = decomposition.n_variables
+    solved = solve_islands(query, decomposition, lineage.variables,
+                           store=store, mode=mode, node_budget=node_budget,
+                           previous=previous, retain_cache=True)
+    n = decomposition.n_variables
+    weights = ([index.subset_weight(j, n) for j in range(n)]
+               if index.is_semivalue else None)
+    models, by_variable = recombine_components(decomposition, solved.results,
+                                               weights)
+    if weights is None:
         by_variable = {v: index.combine(with_vector, without_vector, n)
                        for v, (with_vector, without_vector)
-                       in combine_component_pairs(decomposition, results).items()}
-    values = {variables[v]: value for v, value in by_variable.items()}
-    return PatchResult(values=values,
-                       models=_global_models(decomposition, results),
-                       backend=mode, stats=stats)
+                       in by_variable.items()}
+    variables = lineage.variables
+    return PatchResult(values={variables[v]: value
+                               for v, value in by_variable.items()},
+                       models=models, backend=mode, stats=solved.stats)
 
 
 __all__ = [
     "IslandPairs",
     "PatchResult",
     "PatchStats",
-    "combine_component_semivalues",
     "patch_attribution",
 ]

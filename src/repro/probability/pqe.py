@@ -27,7 +27,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Literal
 
-from ..counting.lineage import build_lineage
+from ..counting.lineage import Lineage, build_lineage
 from ..queries.base import BooleanQuery
 from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
@@ -78,25 +78,16 @@ def probability_via_circuit(query: BooleanQuery, tid: TupleIndependentDatabase,
     :class:`repro.compile.CircuitBudgetError` when a fresh compilation would
     exceed ``node_budget`` (default :data:`repro.compile.DEFAULT_NODE_BUDGET`).
     """
-    from ..compile import DEFAULT_NODE_BUDGET, compile_lineage
-    from ..workspace.store import circuit_key, lineage_key
+    from ..compile import DEFAULT_NODE_BUDGET, CompiledLineage, compile_lineage
+    from ..workspace.store import cached, circuit_key, lineage_key
 
     pdb = tid.to_partitioned()
-    lineage = None
-    if store is not None:
-        lineage = store.get(lineage_key(query, pdb))
-    if lineage is None:
-        lineage = build_lineage(query, pdb)
-        if store is not None:
-            store.put(lineage_key(query, pdb), lineage)
-    compiled = None
-    if store is not None:
-        compiled = store.get(circuit_key(query, lineage))
-    if compiled is None:
-        budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-        compiled = compile_lineage(lineage, node_budget=budget)
-        if store is not None:
-            store.put(circuit_key(query, lineage), compiled)
+    lineage = cached(store, lambda: lineage_key(query, pdb), Lineage,
+                     lambda: build_lineage(query, pdb))
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    compiled = cached(store, lambda: circuit_key(query, lineage), CompiledLineage,
+                      lambda: compile_lineage(lineage, node_budget=budget),
+                      accept=lambda stored: stored.size <= budget)
     return compiled.probability({f: tid.probability(f)
                                  for f in pdb.endogenous})
 

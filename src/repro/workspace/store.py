@@ -46,7 +46,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, TypeVar, runtime_checkable
 
 from ..reliability import faults
 from ..reliability.retry import RetryPolicy, call_with_retry
@@ -183,7 +183,7 @@ def pairs_key(query: "BooleanQuery", lineage: "Lineage") -> ArtifactKey:
 
     Same content as a :func:`circuit_key` — ``(query, sub-lineage)`` — but a
     different kind: the stored artifact is the island's *swept* result
-    (:class:`repro.incremental.patch.IslandPairs`), not its circuit, so a
+    (:class:`repro.engine.sharding.IslandPairs`), not its circuit, so a
     patched refresh whose delta left the island untouched skips the sweep
     too, not just the compile.
     """
@@ -224,6 +224,37 @@ class ArtifactStore(Protocol):
     def stats(self) -> dict[str, int]:
         """Hit/miss/store counters (surfaced by workspace reports)."""
         ...  # pragma: no cover - protocol
+
+
+T = TypeVar("T")
+
+
+def cached(store: "ArtifactStore | None",
+           key: "ArtifactKey | Callable[[], ArtifactKey]", kind: type,
+           build: "Callable[[], T]",
+           accept: "Callable[[T], bool] | None" = None) -> "T":
+    """The artifact under ``key`` if it is a ``kind`` that ``accept``s, else ``build()``.
+
+    The one lookup-or-compute step of every store reader.  A stored entry of
+    another type — an older layout, a foreign payload — or one ``accept``
+    rejects reads as a miss, never raises.  On a miss the built artifact is
+    put under ``key`` unless it is ``None`` (``build`` returning ``None``
+    means "no artifact"); exceptions from ``build`` propagate, nothing put.
+    Without a store this is just ``build()``.  ``key`` may be a zero-argument
+    callable, called only when a store is attached, so a storeless caller
+    never hashes content.
+    """
+    if store is None:
+        return build()
+    if callable(key):
+        key = key()
+    found = store.get(key)
+    if isinstance(found, kind) and (accept is None or accept(found)):
+        return found
+    artifact = build()
+    if artifact is not None:
+        store.put(key, artifact)
+    return artifact
 
 
 class MemoryStore:
@@ -575,6 +606,7 @@ __all__ = [
     "ArtifactStore",
     "DiskStore",
     "MemoryStore",
+    "cached",
     "circuit_key",
     "database_content_text",
     "database_digest",

@@ -62,6 +62,7 @@ from .results import (
 from .store import (
     ArtifactStore,
     MemoryStore,
+    cached,
     circuit_key,
     database_digest,
     lineage_key,
@@ -302,21 +303,18 @@ class AttributionWorkspace:
         """
         if not query.is_hom_closed:
             return None
-        key = support_key(query, self._pdb)
-        cached = self._store.get(key)
-        if isinstance(cached, frozenset):
-            return cached
-        if maintained is not None and maintained.matches(self._pdb):
-            support = maintained.support_union()
-            self._store.put(key, support)
-            return support
-        try:
-            supports = query.minimal_supports_in(self._pdb.all_facts)
-        except (NotImplementedError, ValueError):
-            return None
-        support = (frozenset().union(*supports) if supports else frozenset())
-        self._store.put(key, support)
-        return support
+
+        def build() -> "frozenset[Fact] | None":
+            if maintained is not None and maintained.matches(self._pdb):
+                return maintained.support_union()
+            try:
+                supports = query.minimal_supports_in(self._pdb.all_facts)
+            except (NotImplementedError, ValueError):
+                return None
+            return frozenset().union(*supports) if supports else frozenset()
+
+        return cached(self._store, support_key(query, self._pdb), frozenset,
+                      build)
 
     # -- incremental maintenance --------------------------------------------------
     def _incremental_mode(self, query: BooleanQuery) -> "str | None":
@@ -353,16 +351,15 @@ class AttributionWorkspace:
         builds and store-warmed fresh processes skip the enumeration; built
         cold otherwise (the same enumeration ``_support`` would run).
         """
-        key = maintained_key(query, self._pdb)
-        cached = self._store.get(key)
-        if isinstance(cached, MaintainedLineage) and cached.matches(self._pdb):
-            return cached
-        try:
-            view = MaintainedLineage.build(query, self._pdb)
-        except (NotImplementedError, ValueError):
-            return None
-        self._store.put(key, view)
-        return view
+        def build() -> "MaintainedLineage | None":
+            try:
+                return MaintainedLineage.build(query, self._pdb)
+            except (NotImplementedError, ValueError):
+                return None
+
+        return cached(self._store, maintained_key(query, self._pdb),
+                      MaintainedLineage, build,
+                      accept=lambda view: view.matches(self._pdb))
 
     @staticmethod
     def _snapshot_deltas(applied: "tuple[WorkspaceDelta, ...]",
@@ -599,22 +596,19 @@ class AttributionWorkspace:
         """
         if not query.is_hom_closed:
             return None, None
-        from ..counting.lineage import build_lineage
+        from ..compile import CircuitBudgetError, CompiledLineage, compile_lineage
+        from ..counting.lineage import Lineage, build_lineage
 
-        lineage = self._store.get(lineage_key(query, self._pdb))
-        if lineage is None:
-            lineage = build_lineage(query, self._pdb)
-            self._store.put(lineage_key(query, self._pdb), lineage)
-        from ..compile import CircuitBudgetError, compile_lineage
-
-        compiled = self._store.get(circuit_key(query, lineage))
-        if compiled is None:
-            try:
-                compiled = compile_lineage(
-                    lineage, node_budget=self._config.circuit_node_budget)
-            except CircuitBudgetError:
-                return lineage, None
-            self._store.put(circuit_key(query, lineage), compiled)
+        lineage = cached(self._store, lineage_key(query, self._pdb), Lineage,
+                         lambda: build_lineage(query, self._pdb))
+        budget = self._config.circuit_node_budget
+        try:
+            compiled = cached(
+                self._store, circuit_key(query, lineage), CompiledLineage,
+                lambda: compile_lineage(lineage, node_budget=budget),
+                accept=lambda stored: stored.size <= budget)
+        except CircuitBudgetError:
+            return lineage, None
         return lineage, compiled
 
     def _hypothetical_snapshot(self, ops) -> PartitionedDatabase:

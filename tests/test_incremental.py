@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.api import AttributionSession, EngineConfig
 from repro.counting.lineage import build_lineage
 from repro.data import PartitionedDatabase, fact
+from repro.engine.sharding import decompose_lineage
 from repro.experiments import full_catalog, q_rst
 from repro.experiments.batch_engine import island_attribution_instance
 from repro.incremental import (
@@ -233,15 +234,63 @@ class TestPatchAttribution:
                                index="shapley", previous=view.lineage())
         assert r1.stats.pairs_hits == 2            # untouched islands
 
-        second_delta = SnapshotDelta("remove", fact("R", "i0l1"), True)
+        # Island 0 survives this delta (R(i0l1), S(i0l1, i0r1), T(i0r1)), so
+        # it recompiles, seeded from the circuit the first patch stored.
+        second_delta = SnapshotDelta("remove", fact("S", "i0l1", "i0r0"), True)
         twice = once.apply(second_delta)
         r2 = patch_attribution(q_rst(), twice.lineage(), store=store,
                                index="shapley", previous=once.lineage())
-        assert r2.stats.seeded_compiles >= 0       # seed requires a cached
+        assert r2.stats.islands == 3
+        assert r2.stats.pairs_hits == 2
+        assert r2.stats.seeded_compiles == 1
+        assert r2.stats.fresh_compiles == 0
         cold = AttributionSession(
-            q_rst(), pdb.without([fact("R", "i0l0"), fact("R", "i0l1")]),
+            q_rst(), pdb.without([fact("R", "i0l0"), fact("S", "i0l1", "i0r0")]),
             EXACT).values()
         _assert_bitwise(r2.values, cold)
+
+    def test_attribute_between_patches_compiles_nothing_and_keeps_seeding(
+            self, monkeypatch):
+        """A cold session between two patches of one island reads the
+        patcher's records instead of recompiling over its seedable circuit."""
+        import repro.compile.compiler as compiler_module
+        import repro.engine.sharding as sharding_module
+        from repro.engine import clear_engine_cache
+
+        store = MemoryStore()
+        pdb = island_attribution_instance(3)
+        view = MaintainedLineage.build(q_rst(), pdb)
+        patch_attribution(q_rst(), view.lineage(), store=store,
+                          index="shapley")
+        removed = fact("S", "i0l0", "i0r0")
+        once = view.apply(SnapshotDelta("remove", removed, True))
+        patch_attribution(q_rst(), once.lineage(), store=store,
+                          index="shapley", previous=view.lineage())
+
+        compiles = []
+        real_compile = compiler_module.compile_dnf
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args)
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(compiler_module, "compile_dnf", counting_compile)
+        monkeypatch.setattr(sharding_module, "compile_dnf", counting_compile)
+        clear_engine_cache()
+        report = AttributionSession(q_rst(), pdb.without([removed]), EXACT,
+                                    store=store).report()
+        assert report.shard_axis == "component"
+        assert compiles == []
+
+        removed_too = fact("S", "i0l1", "i0r0")     # island 0 stays one island
+        twice = once.apply(SnapshotDelta("remove", removed_too, True))
+        r2 = patch_attribution(q_rst(), twice.lineage(), store=store,
+                               index="shapley", previous=once.lineage())
+        assert r2.stats.seeded_compiles == 1
+        assert r2.stats.fresh_compiles == 0
+        assert len(compiles) == 1
+        _assert_bitwise(r2.values, AttributionSession(
+            q_rst(), pdb.without([removed, removed_too]), EXACT).values())
 
     def test_island_merge_and_split_stay_bitwise_correct(self):
         store = MemoryStore()
@@ -434,6 +483,33 @@ class TestWhatIfPatching:
         _assert_bitwise(dict(batch[1].ranking),
                         AttributionSession(q_rst(), grown2, EXACT).values())
 
+    def test_what_if_after_a_patched_one_island_refresh(self):
+        """The patcher's island circuit is the standing circuit of a
+        one-island lineage: what-if must read it, not trip over it."""
+        pdb = island_attribution_instance(1)
+        ws = AttributionWorkspace(pdb, store=MemoryStore())
+        ws.register("q", q_rst())
+        ws.refresh()
+        removed = fact("S", "i0l0", "i0r0")     # every other fact stays in a support
+        ws.remove(removed)
+        assert ws.refresh()["q"].refresh_reason == "incremental-patch"
+        after = pdb.without([removed])
+        islands = decompose_lineage(build_lineage(q_rst(), after))
+        assert (islands.n_components, islands.free_variables) == (1, ())
+
+        batch = ws.what_if(["-R(i0l1)"])
+        assert batch.recompiled == ()
+        fresh = AttributionWorkspace(after, store=MemoryStore())
+        fresh.register("q", q_rst())
+        expected = fresh.what_if(["-R(i0l1)"])
+        _assert_bitwise(dict(batch[0].ranking), dict(expected[0].ranking))
+        _assert_bitwise(dict(batch[0].ranking), AttributionSession(
+            q_rst(), after.without([fact("R", "i0l1")]), EXACT).values())
+        got, want = batch[0].probability, expected[0].probability
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert batch[0].satisfiable == expected[0].satisfiable
+        assert batch.base_probability == expected.base_probability
+
     def test_non_hom_closed_scenarios_still_recompile(self):
         entry = NON_HOM_CLOSED[0]
         arity = max(_relation_arities(entry.query).values())
@@ -502,3 +578,66 @@ class TestResultsJson:
         restored = AttributionDelta.from_json_dict(payload)
         assert restored.changed_values == ()
         assert restored.rank_moves == ()
+
+
+# ---------------------------------------------------------------------------
+# Store entries written by older layouts
+# ---------------------------------------------------------------------------
+
+class TestOlderStoreEntries:
+    def test_bare_compiled_dnf_under_circuit_key_reads_as_a_miss(self):
+        """Older patchers stored bare ``CompiledDNF``s under ``circuit_key``."""
+        from repro.compile import compile_dnf
+        from repro.engine import clear_engine_cache
+        from repro.probability import probability_of_query
+        from repro.probability.tid import TupleIndependentDatabase
+        from repro.workspace import circuit_key
+
+        pdb = island_attribution_instance(1)     # one island, no free facts
+        lineage = build_lineage(q_rst(), pdb)
+        store = MemoryStore()
+        store.put(circuit_key(q_rst(), lineage), compile_dnf(lineage.dnf))
+        clear_engine_cache()
+        values = AttributionSession(q_rst(), pdb, EXACT, store=store).values()
+        _assert_bitwise(values, AttributionSession(q_rst(), pdb, EXACT).values())
+
+        store.put(circuit_key(q_rst(), lineage), compile_dnf(lineage.dnf))
+        tid = TupleIndependentDatabase({f: Fraction(1, 2) for f in pdb.endogenous})
+        assert probability_of_query(q_rst(), tid, "circuit", store=store) == \
+            probability_of_query(q_rst(), tid, "circuit")
+
+        store.put(circuit_key(q_rst(), lineage), compile_dnf(lineage.dnf))
+        ws = AttributionWorkspace(pdb, store=store)
+        ws.register("q", q_rst())
+        batch = ws.what_if(["-R(i0l0)"])
+        _assert_bitwise(dict(batch[0].ranking), AttributionSession(
+            q_rst(), pdb.without([fact("R", "i0l0")]), EXACT).values())
+
+    def test_island_pairs_pickled_at_the_old_module_path_still_hit(self):
+        import pickle
+
+        from repro.engine.sharding import IslandPairs
+        from repro.workspace import pairs_key
+
+        pdb = island_attribution_instance(2)
+        lineage = build_lineage(q_rst(), pdb)
+        warm = MemoryStore()
+        cold = patch_attribution(q_rst(), lineage, store=warm, index="shapley")
+        store = MemoryStore()
+        for sub in decompose_lineage(lineage).components:
+            key = pairs_key(q_rst(), sub.to_lineage(lineage.variables))
+            record = warm.get(key)
+            # The older layout: no compile_time_s / fallback fields, and the
+            # class living in repro.incremental.patch.
+            object.__delattr__(record, "compile_time_s")
+            object.__delattr__(record, "fallback")
+            blob = pickle.dumps(record, protocol=0).replace(
+                b"repro.engine.sharding", b"repro.incremental.patch")
+            assert b"repro.incremental.patch" in blob
+            old = pickle.loads(blob)
+            assert isinstance(old, IslandPairs)
+            assert (old.compile_time_s, old.fallback) == (None, None)
+            store.put(key, old)
+        patched = patch_attribution(q_rst(), lineage, store=store, index="shapley")
+        assert patched.stats.pairs_hits == 2
+        _assert_bitwise(patched.values, cold.values)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import AttributionReport, AttributionSession, ConfigError, EngineConfig
+from repro.compile import ConditioningPlan, compile_dnf
 from repro.counting import MonotoneDNF, build_lineage
 from repro.data import PartitionedDatabase, atom, fact, var
 from repro.engine import (
@@ -29,12 +30,14 @@ from repro.engine import (
     get_engine,
     solve_component,
 )
+from repro.engine.sharding import recombine_components
 from repro.experiments import (
     full_catalog,
     island_attribution_instance,
     sparse_endogenous_instance,
 )
 from repro.queries import cq
+from repro.values import BANZHAF, SHAPLEY
 from repro.workspace import MemoryStore, circuit_key
 
 X, Y = var("x"), var("y")
@@ -142,20 +145,81 @@ def _random_dnf(rng: random.Random) -> MonotoneDNF:
     return MonotoneDNF(n, clauses)
 
 
+#: Edge cases the random draw reaches rarely or never: ``n = 0`` (false and
+#: true), trivially true and trivially false over several variables, and free
+#: variables beside islands.
+_EDGE_DNFS = (
+    MonotoneDNF(0, []),
+    MonotoneDNF(0, [frozenset()]),
+    MonotoneDNF(4, [frozenset()]),
+    MonotoneDNF(4, []),
+    MonotoneDNF(6, [{0, 1}, {3}, {1, 5}]),
+)
+
+
+def _bitwise_values(left: dict, right: dict) -> None:
+    assert left.keys() == right.keys()
+    for v, value in left.items():
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (
+            right[v].numerator, right[v].denominator)
+
+
+def _renumbered(pairs: dict, fixed: int) -> dict:
+    """Pairs of ``dnf.restrict(fixed, .)`` keyed by the original variable ids."""
+    return {u + (u >= fixed): pair for u, pair in pairs.items()}
+
+
 @pytest.mark.parametrize("mode", ["counting", "circuit"])
 def test_recombination_matches_whole_formula_conditioning(mode):
-    """The convolution recombination is integer-for-integer the serial answer."""
+    """The recombination kernel is integer-for-integer the serial answer.
+
+    Every route through :func:`repro.counting.dnf_counter.recombine` — the
+    island results of the engine and patcher (pairs and semivalues), the
+    compiled DNF's own sweep, and the what-if ``ConditioningPlan`` with and
+    without a fixed variable — against whole-formula conditioning.
+    """
     rng = random.Random(20260807)
-    for _ in range(150):
-        dnf = _random_dnf(rng)
+    for dnf in [_random_dnf(rng) for _ in range(150)] + list(_EDGE_DNFS):
+        n = dnf.n_variables
+        label = f"{sorted(map(sorted, dnf.clauses))} (n={n})"
+        expected = {v: dnf.conditioned_count_by_size(v) for v in range(n)}
         decomposition = decompose_dnf(dnf)
         results = [solve_component(sub, i, mode=mode)
                    for i, sub in enumerate(decomposition.components)]
-        pairs = combine_component_pairs(decomposition, results)
-        assert set(pairs) == set(range(dnf.n_variables))
-        for v in range(dnf.n_variables):
-            assert pairs[v] == dnf.conditioned_count_by_size(v), \
-                f"variable {v} of {dnf.clauses} (n={dnf.n_variables})"
+        models, pairs = recombine_components(decomposition, results)
+        assert pairs == expected, label
+        assert combine_component_pairs(decomposition, results) == expected, label
+        assert models == dnf.count_by_size(), label
+
+        compiled = compile_dnf(dnf)
+        assert compiled.conditioned_pairs() == expected, label
+        assert compiled.count_by_size() == models, label
+        plan = ConditioningPlan(compiled)
+        plan_pairs, satisfiable, plan_models = plan.restricted_pairs({})
+        assert (plan_pairs, plan_models) == (expected, models), label
+        assert satisfiable == dnf.evaluate(range(n)), label
+
+        for index in (SHAPLEY, BANZHAF):
+            weights = [index.subset_weight(j, n) for j in range(n)]
+            combined = {v: index.combine(*pair, n) for v, pair in expected.items()}
+            _bitwise_values(
+                recombine_components(decomposition, results, weights)[1], combined)
+            _bitwise_values(plan.restricted_semivalues({}, weights)[0], combined)
+
+        if n:
+            fixed, value = rng.randrange(n), rng.random() < 0.5
+            restricted = dnf.restrict(fixed, value)
+            want = _renumbered({u: restricted.conditioned_count_by_size(u)
+                                for u in range(n - 1)}, fixed)
+            got, satisfiable, got_models = plan.restricted_pairs({fixed: value})
+            assert got == want, f"{label} with x{fixed}={value}"
+            assert got_models == restricted.count_by_size(), label
+            assert satisfiable == restricted.evaluate(range(n - 1)), label
+            weights = [SHAPLEY.subset_weight(j, n - 1) for j in range(n - 1)]
+            _bitwise_values(
+                plan.restricted_semivalues({fixed: value}, weights)[0],
+                {u: SHAPLEY.combine(*pair, n - 1) for u, pair in want.items()})
 
 
 def test_recombination_validates_coverage():

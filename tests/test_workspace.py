@@ -153,6 +153,26 @@ class TestMemoryStore:
         with pytest.raises(ValueError):
             MemoryStore(max_entries=0)
 
+    def test_cached_reads_only_the_kind_it_accepts(self):
+        from repro.workspace.store import cached
+
+        store = MemoryStore()
+        key = plan_key(Q_HIER)
+        store.put(key, "an older layout")
+        assert cached(store, key, dict, lambda: {"built": 1}) == {"built": 1}
+        assert store.get(key) == {"built": 1}      # the miss overwrote it
+        assert cached(store, key, dict, lambda: {"built": 2}) == {"built": 1}
+        assert cached(store, key, dict, lambda: {"built": 3},
+                      accept=lambda found: found["built"] > 1) == {"built": 3}
+        other = lineage_key(Q_RST, small_rst_pdb())
+        assert cached(store, other, dict, lambda: None) is None
+        assert store.get(other) is None            # "no artifact" is not stored
+
+        def no_key():
+            raise AssertionError("a storeless lookup must not hash content")
+
+        assert cached(None, no_key, dict, lambda: {"built": 4}) == {"built": 4}
+
 
 # ---------------------------------------------------------------------------
 # DiskStore robustness
