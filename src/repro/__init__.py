@@ -89,8 +89,9 @@ backend     auto picks it when           cost / knobs
                                          derivative sweep for *all* facts;
                                          worst-case exponential circuit size
  counting   the circuit blew its node    one lineage, ``n`` conditioned
-            budget (hom-closed only)     counting passes; also explicit
-                                         ``counting_method="brute"`` FGMC
+            budget (hom-closed only)     counting passes; an explicit
+                                         request on a non-hom-closed query
+                                         runs ``brute``
  brute      query is not hom-closed      ``2^n`` coalition table; ground truth
  sampled    query is #P-hard/unknown     Monte-Carlo permutation sampling with
             and ``|Dn|`` exceeds         the ``(epsilon, delta)`` Hoeffding
@@ -276,9 +277,8 @@ The moving parts (all in :mod:`repro.reliability`):
         session = AttributionSession(q, pdb, store=DiskStore("artifacts/"))
         session.values()                   # exact despite the injected faults
 
-The legacy free functions (``shapley_values_of_facts``, ...) still work but
-emit ``DeprecationWarning`` and delegate to the session (see the migration
-table in ``CHANGES.md``).
+The legacy free functions that wrapped the session were removed; the
+migration table in ``CHANGES.md`` maps each to its session call.
 """
 
 from .analysis import (
@@ -306,13 +306,10 @@ from .api import (
 )
 from .core import (
     QueryGame,
-    max_shapley_value,
     shapley_value,
     shapley_value_of_constant,
-    shapley_value_of_fact,
     shapley_values,
     shapley_values_of_constants,
-    shapley_values_of_facts,
 )
 from .counting import (
     fgmc_vector,
@@ -505,7 +502,6 @@ __all__ = [
     "is_hierarchical",
     "is_pseudo_connected",
     "is_safe_ucq",
-    "max_shapley_value",
     "model_count",
     "partition_by_relation",
     "partition_randomly",
@@ -518,10 +514,8 @@ __all__ = [
     "rpq",
     "shapley_value",
     "shapley_value_of_constant",
-    "shapley_value_of_fact",
     "shapley_values",
     "shapley_values_of_constants",
-    "shapley_values_of_facts",
     "spqe",
     "sppqe",
     "svc_via_fgmc",

@@ -45,7 +45,6 @@ from .leaks import (
 from .relevance import (
     irrelevant_endogenous_facts,
     is_relevant_fact,
-    null_player_facts,
     relevant_relations,
     split_by_relevance,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "is_pseudo_connected",
     "is_q_leak",
     "is_relevant_fact",
-    "null_player_facts",
     "is_safe",
     "is_safe_sjf_cq",
     "is_safe_ucq",

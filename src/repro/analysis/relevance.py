@@ -111,33 +111,9 @@ def irrelevant_endogenous_facts(pdb, query: BooleanQuery) -> frozenset[Fact]:
     return frozenset(f for f in pdb.endogenous if not is_relevant_fact(f, query))
 
 
-def null_player_facts(pdb, query: BooleanQuery, method: str = "auto") -> frozenset[Fact]:
-    """Endogenous facts with Shapley value zero, from one batched engine pass.
-
-    This is the *instance-level* refinement of :func:`irrelevant_endogenous_facts`
-    (Claim 5.1): every irrelevant fact is a null player, but a relevant fact can
-    still be a null player on a particular database — e.g. when every support it
-    participates in is already implied by the exogenous part.  All values come
-    from the shared-lineage :class:`repro.engine.SVCEngine`, so the check costs
-    one lineage build rather than ``2 |Dn|``.
-
-    .. deprecated:: use ``repro.api.AttributionSession(query, pdb).null_players()``.
-    """
-    import warnings
-
-    from ..api import AttributionSession, EngineConfig
-
-    warnings.warn("null_player_facts is deprecated; use "
-                  "repro.api.AttributionSession(...).null_players()",
-                  DeprecationWarning, stacklevel=2)
-    config = EngineConfig(method=method, on_hard="exact")
-    return AttributionSession(query, pdb, config).null_players()
-
-
 __all__ = [
     "irrelevant_endogenous_facts",
     "is_relevant_fact",
-    "null_player_facts",
     "relevant_relations",
     "split_by_relevance",
 ]

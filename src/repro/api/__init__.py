@@ -4,8 +4,8 @@ One entry point replaces the ~40 free functions of the historical API:
 :class:`AttributionSession` wraps the batched :class:`repro.engine.SVCEngine`
 and the Figure 1b dichotomy classifier, dispatches to the admissible backend
 (safe plan / lineage counting / brute force / Monte-Carlo sampling) and returns
-typed, frozen, JSON-serialisable results.  The legacy free functions remain as
-thin delegating shims that emit :class:`DeprecationWarning`.
+typed, frozen, JSON-serialisable results.  The legacy free functions that
+once wrapped it were removed; ``CHANGES.md`` maps each to its session call.
 
 Quick start::
 

@@ -1,10 +1,13 @@
 """Configuration of the attribution session.
 
-One frozen, validated object replaces the ``method`` / ``counting_method`` /
-``epsilon`` / ``delta`` / ``seed`` parameters that the legacy free functions
-threaded by hand.  Invalid values raise :class:`repro.errors.ConfigError` at
-construction time, so a session never fails halfway through a computation
-because of a typo in a backend name.
+One frozen, validated object carries every setting of a session: the
+backend, the Monte-Carlo ``epsilon`` / ``delta`` / ``seed``, the hard-query
+policy, parallelism, sharding and the value index.  Invalid values raise
+:class:`repro.errors.ConfigError` at construction time, so a session never
+fails halfway through a computation because of a typo in a backend name.
+An explicit ``method="counting"`` always conditions the lineage; on a query
+that is not hom-closed (no lineage applies) the engine runs the ``brute``
+coalition table instead, and the report says so.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from ..values import INDICES
 #: exact names are the :class:`repro.engine.SVCEngine` backends; ``sampled``
 #: is the Monte-Carlo permutation-sampling estimator.
 METHODS = ("auto", "safe", "circuit", "counting", "brute", "sampled")
-
-#: FGMC backends of the ``counting`` method.
-COUNTING_METHODS = ("auto", "brute", "lineage")
 
 #: What to do when the classifier says the query is #P-hard (or unclassified)
 #: and the instance exceeds ``exact_size_limit``.
@@ -42,8 +42,6 @@ class EngineConfig:
 
     #: Backend override; ``auto`` means dichotomy-aware dispatch.
     method: str = "auto"
-    #: FGMC backend used when the ``counting`` method runs.
-    counting_method: str = "auto"
     #: Additive error of the Monte-Carlo estimator (per fact).
     epsilon: float = 0.05
     #: Failure probability of the Monte-Carlo estimator (per fact).
@@ -87,9 +85,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.counting_method not in COUNTING_METHODS:
-            raise ConfigError(f"counting_method must be one of {COUNTING_METHODS}, "
-                              f"got {self.counting_method!r}")
         if self.on_hard not in ON_HARD_POLICIES:
             raise ConfigError(f"on_hard must be one of {ON_HARD_POLICIES}, "
                               f"got {self.on_hard!r}")
@@ -123,5 +118,5 @@ class EngineConfig:
         return asdict(self)
 
 
-__all__ = ["COUNTING_METHODS", "EngineConfig", "INDICES", "METHODS",
-           "ON_HARD_POLICIES", "SHARD_POLICIES"]
+__all__ = ["EngineConfig", "INDICES", "METHODS", "ON_HARD_POLICIES",
+           "SHARD_POLICIES"]

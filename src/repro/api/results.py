@@ -270,7 +270,10 @@ class AttributionReport:
                            _fraction_from_json(entry["value"]))
                           for entry in payload["ranking"]),
             explanation=Explanation.from_json_dict(payload["explanation"]),
-            config=EngineConfig(**payload["config"]),
+            # Documents written before the counting_method knob was removed
+            # carry it in their config: drop it.
+            config=EngineConfig(**{k: v for k, v in payload["config"].items()
+                                   if k != "counting_method"}),
             n_endogenous=payload["n_endogenous"],
             n_exogenous=payload["n_exogenous"],
             lineage_size=payload["lineage_size"],

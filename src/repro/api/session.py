@@ -116,7 +116,6 @@ class AttributionSession:
     def _engine_for(self, method: str) -> SVCEngine:
         if self._engine is None:
             self._engine = get_engine(self.query, self.pdb, method,
-                                      self.config.counting_method,
                                       self.config.workers,
                                       self.config.parallel_threshold,
                                       self.config.circuit_node_budget,

@@ -56,7 +56,6 @@ from dataclasses import fields as dataclass_fields
 from .analysis.dichotomy import classify_svc
 from .api import AttributionReport, AttributionSession, EngineConfig
 from .api.config import (
-    COUNTING_METHODS,
     INDICES,
     METHODS,
     ON_HARD_POLICIES,
@@ -118,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     attribute.add_argument("--method", choices=list(METHODS),
                            default=config_defaults["method"],
                            help="backend override; auto consults the Figure 1b classifier")
-    attribute.add_argument("--counting-method", dest="counting_method",
-                           choices=list(COUNTING_METHODS),
-                           default=config_defaults["counting_method"],
-                           help="FGMC backend used by the counting method")
     attribute.add_argument("--epsilon", type=float, default=config_defaults["epsilon"],
                            help="additive error of the Monte-Carlo estimator")
     attribute.add_argument("--delta", type=float, default=config_defaults["delta"],
@@ -178,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     svc_all.add_argument("--method",
                          choices=["auto", "brute", "circuit", "counting", "safe"],
                          default="auto", help="engine backend (default: auto)")
-    svc_all.add_argument("--counting-method", dest="counting_method",
-                         choices=["auto", "brute", "lineage"], default="auto",
-                         help="FGMC backend used by the counting method")
     svc_all.add_argument("--workers", type=int, default=config_defaults["workers"],
                          help="worker processes for the engine (1 = serial)")
     svc_all.add_argument("--parallel-threshold", dest="parallel_threshold", type=int,
@@ -365,8 +357,7 @@ def _print_efficiency(report: AttributionReport) -> None:
 def _command_attribute(args: argparse.Namespace) -> int:
     query = parse_query(args.query)
     pdb = _load_database(args.database, args.exogenous)
-    config = EngineConfig(method=args.method, counting_method=args.counting_method,
-                          epsilon=args.epsilon, delta=args.delta,
+    config = EngineConfig(method=args.method, epsilon=args.epsilon, delta=args.delta,
                           n_samples=args.samples, seed=args.seed,
                           on_hard=args.on_hard, exact_size_limit=args.exact_size_limit,
                           workers=args.workers,
@@ -419,8 +410,7 @@ def _command_shapley(args: argparse.Namespace) -> int:
 def _command_svc_all(args: argparse.Namespace) -> int:
     query = parse_query(args.query)
     pdb = _load_database(args.database, args.exogenous)
-    config = EngineConfig(method=args.method, counting_method=args.counting_method,
-                          on_hard="exact", workers=args.workers,
+    config = EngineConfig(method=args.method, on_hard="exact", workers=args.workers,
                           parallel_threshold=args.parallel_threshold,
                           circuit_node_budget=args.circuit_node_budget,
                           shard=args.shard, index=args.index)

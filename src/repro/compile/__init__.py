@@ -21,7 +21,6 @@ from .compiler import (
     first_variable,
     max_occurrence,
     min_occurrence,
-    uniform_probability,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "first_variable",
     "max_occurrence",
     "min_occurrence",
-    "uniform_probability",
 ]

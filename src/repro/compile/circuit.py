@@ -23,8 +23,9 @@ derived quantity reads off the circuit in time polynomial in its size:
   the node's scope of size ``k``, i.e. the coefficients of the generating
   polynomial in a formal size variable ``z``),
 * :meth:`Circuit.conditioned_pairs` — one **top-down derivative sweep**
-  computes, for *every* variable ``v`` at once, the pair of count vectors of
-  the circuit conditioned on ``v := true`` / ``v := false``.  This is
+  computes, for *every* variable ``v`` at once, the count vector of the
+  circuit conditioned on ``v := true`` (the ``v := false`` vector follows from
+  the partition identity ``root[k] = true[k-1] + false[k]``).  This is
   Darwiche's differential trick: the root polynomial is multilinear in the
   per-variable indicator pair ``(x_v, x̄_v)`` (by decomposability no product
   joins two subcircuits sharing ``v``), so ``∂root/∂x_v`` — accumulated while
@@ -241,20 +242,22 @@ class Circuit:
     def conditioned_pairs(self, variables: "Iterable[int] | None" = None, *,
                           root: "int | None" = None,
                           vectors: "list[list[int]] | None" = None,
-                          ) -> dict[int, tuple[list[int], list[int]]]:
-        """``{v: (true_vector, false_vector)}`` for every requested variable, in one sweep.
+                          ) -> dict[int, list[int]]:
+        """``{v: true_vector}`` for every requested variable, in one sweep.
 
         ``true_vector[k]`` counts size-``k`` subsets of ``scope(root) - {v}``
-        satisfying the circuit with ``v`` fixed true (``false_vector`` with it
-        fixed false).  ``variables`` restricts the accumulation (default: the
-        whole root scope) — the context propagation is shared either way, so a
-        worker computing one stripe of variables still pays the sweep only once.
+        satisfying the circuit with ``v`` fixed true.  The false branch is not
+        accumulated: every caller recovers it from the root vector by the
+        partition identity (:func:`~repro.counting.dnf_counter.recombine`).
+        ``variables`` restricts the accumulation (default: the whole root
+        scope) — the context propagation is shared either way, so a worker
+        computing one stripe of variables still pays the sweep only once.
 
         The context ``ctx[i]`` is the polynomial ``∂P_root / ∂P_i``: it starts
         as ``[1]`` at the root and flows down edges (multiplied by ``z`` into
         decision hi-branches, by the co-children's product through ANDs).  A
         variable collects contributions wherever it is *mentioned* — at its
-        decision nodes (``ctx ⊛ branch vector``) and inside FREE gadgets
+        decision nodes (``ctx ⊛ hi vector``) and inside FREE gadgets
         (``ctx ⊛ C(m-1, ·)``, the gadget with one variable removed); smoothness
         guarantees the total is the full conditioned count.
 
@@ -274,8 +277,7 @@ class Circuit:
         n_nodes = len(self.kind)
         ctx: list["list[int] | None"] = [None] * n_nodes
         ctx[start] = [1]
-        pairs: dict[int, tuple[list[int], list[int]]] = {
-            v: ([0], [0]) for v in wanted}
+        true_vectors: dict[int, list[int]] = {v: [0] for v in wanted}
 
         for i in range(start, -1, -1):
             c = ctx[i]
@@ -289,9 +291,8 @@ class Circuit:
                 ctx[lo] = list(c) if ctx[lo] is None else add_vectors(ctx[lo], c)
                 v = self.var[i]
                 if v in wanted:
-                    true_vec, false_vec = pairs[v]
-                    pairs[v] = (add_vectors(true_vec, convolve(c, vectors[hi])),
-                                add_vectors(false_vec, convolve(c, vectors[lo])))
+                    true_vectors[v] = add_vectors(true_vectors[v],
+                                                  convolve(c, vectors[hi]))
             elif kind == AND:
                 children = self.children[i]
                 # ctx of child j is c times the product of the other children's
@@ -311,17 +312,14 @@ class Circuit:
                 mentioned = self.scope[i] & wanted
                 if mentioned:
                     # ∂/∂x_v of Π_u (x_u + x̄_u) is the same (1+z)^(m-1) for
-                    # every u and both polarities: one convolution serves all.
+                    # every u: one convolution serves all.
                     contribution = convolve(c, binomial_row(len(self.scope[i]) - 1))
                     for v in mentioned:
-                        true_vec, false_vec = pairs[v]
-                        pairs[v] = (add_vectors(true_vec, contribution),
-                                    add_vectors(false_vec, contribution))
+                        true_vectors[v] = add_vectors(true_vectors[v], contribution)
             # constants: nothing to propagate.
 
         length = len(self.scope[start])  # |scope| - 1 variables + 1 entries
-        return {v: (pad(true_vec, length), pad(false_vec, length))
-                for v, (true_vec, false_vec) in pairs.items()}
+        return {v: pad(vector, length) for v, vector in true_vectors.items()}
 
     # -- restriction --------------------------------------------------------------
     def restrict(self, assignment: Mapping[int, bool], *,

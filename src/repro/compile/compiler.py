@@ -341,9 +341,8 @@ class CompiledDNF:
         wanted = range(self.n_variables) if variables is None else list(variables)
         root_scope = self.circuit.scope[self.circuit.root]
         inside = [v for v in wanted if v in root_scope]
-        swept = self.circuit.conditioned_pairs(inside)
         return recombine([self._complement_root()],
-                         [{v: swept[v][0] for v in inside}],
+                         [self.circuit.conditioned_pairs(inside)],
                          self.n_variables - len(root_scope),
                          [v for v in wanted if v not in root_scope])[1]
 
@@ -502,8 +501,7 @@ class ConditioningPlan:
                 sub = self._circuit.restrict(touched[i], root=factor)
                 vectors = sub.count_vectors()
                 complements.append(vectors[sub.root])
-                branches.append({v: true_c for v, (true_c, _)
-                                 in sub.conditioned_pairs(vectors=vectors).items()})
+                branches.append(sub.conditioned_pairs(vectors=vectors))
             else:
                 complements.append(self._vectors[factor])
                 branches.append(self._standing_branches(i))
@@ -519,10 +517,8 @@ class ConditioningPlan:
         """Factor ``i``'s true-branch complement vectors (swept once, cached)."""
         branches = self._branches.get(i)
         if branches is None:
-            pairs = self._circuit.conditioned_pairs(root=self._factors[i],
-                                                    vectors=self._vectors)
-            branches = self._branches[i] = {
-                v: true_c for v, (true_c, _) in pairs.items()}
+            branches = self._branches[i] = self._circuit.conditioned_pairs(
+                root=self._factors[i], vectors=self._vectors)
         return branches
 
 
@@ -594,24 +590,6 @@ def compile_lineage(lineage: "Lineage", *,
                            compile_time_s=time.perf_counter() - start)
 
 
-def uniform_probability(compiled: CompiledDNF, p: Fraction) -> Fraction:
-    """Deprecated import path — use :func:`repro.probability.uniform_probability`.
-
-    The canonical implementation (one count-vector read-off shared by
-    lineages, DNFs and compiled circuits alike) moved to
-    :mod:`repro.probability.uniform`; this shim delegates and warns.
-    """
-    import warnings
-
-    from ..probability.uniform import uniform_probability as _canonical
-
-    warnings.warn(
-        "repro.compile.uniform_probability is deprecated; use "
-        "repro.probability.uniform_probability (works on lineages, DNFs and "
-        "compiled circuits alike)", DeprecationWarning, stacklevel=2)
-    return _canonical(compiled, p)
-
-
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_ORDERING",
@@ -626,5 +604,4 @@ __all__ = [
     "first_variable",
     "max_occurrence",
     "min_occurrence",
-    "uniform_probability",
 ]

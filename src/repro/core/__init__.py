@@ -4,7 +4,6 @@ from .approximate import (
     ApproximationResult,
     approximate_shapley_value,
     approximate_shapley_value_of_fact,
-    approximate_shapley_values_of_facts,
     samples_for_guarantee,
 )
 from .constants import (
@@ -20,18 +19,14 @@ from .endogenous import (
 )
 from .games import ConstantQueryGame, CooperativeGame, ExplicitGame, QueryGame
 from .max_svc import (
-    max_shapley_value,
     max_shapley_value_with_shortcut,
     singleton_support_facts,
 )
 from .shapley import efficiency_total, shapley_value, shapley_values
 from .svc import (
-    rank_facts_by_shapley_value,
     shapley_value_from_fgmc_vectors,
-    shapley_value_of_fact,
     shapley_value_safe_pipeline,
     shapley_value_via_fgmc,
-    shapley_values_of_facts,
 )
 
 __all__ = [
@@ -39,7 +34,6 @@ __all__ = [
     "ConstantQueryGame",
     "approximate_shapley_value",
     "approximate_shapley_value_of_fact",
-    "approximate_shapley_values_of_facts",
     "samples_for_guarantee",
     "CooperativeGame",
     "ExplicitGame",
@@ -47,20 +41,16 @@ __all__ = [
     "efficiency_total",
     "fgmc_constants_vector",
     "fmc_constants_vector",
-    "max_shapley_value",
     "max_shapley_value_with_shortcut",
-    "rank_facts_by_shapley_value",
     "shapley_value",
     "shapley_value_endogenous",
     "shapley_value_endogenous_via_fmc",
     "shapley_value_from_fgmc_vectors",
     "shapley_value_of_constant",
-    "shapley_value_of_fact",
     "shapley_value_safe_pipeline",
     "shapley_value_via_fgmc",
     "shapley_values",
     "shapley_values_endogenous",
     "shapley_values_of_constants",
-    "shapley_values_of_facts",
     "singleton_support_facts",
 ]

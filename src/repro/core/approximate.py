@@ -111,22 +111,3 @@ def _approximate_values_of_facts(query: BooleanQuery, pdb: PartitionedDatabase,
     return {f: approximate_shapley_value_of_fact(query, pdb, f, n_samples=n_samples,
                                                  epsilon=epsilon, delta=delta, seed=rng)
             for f in sorted(pdb.endogenous)}
-
-
-def approximate_shapley_values_of_facts(query: BooleanQuery, pdb: PartitionedDatabase,
-                                        n_samples: "int | None" = 2000,
-                                        seed: "int | random.Random | None" = 0,
-                                        epsilon: float = 0.05, delta: float = 0.05
-                                        ) -> dict[Fact, ApproximationResult]:
-    """Sampling-based estimates for every endogenous fact (single shared RNG).
-
-    .. deprecated:: use ``AttributionSession`` with
-        ``EngineConfig(method="sampled", ...)`` (or let the dichotomy-aware
-        auto-dispatch pick sampling on hard instances).
-    """
-    import warnings
-
-    warnings.warn("approximate_shapley_values_of_facts is deprecated; use "
-                  "repro.api.AttributionSession with EngineConfig(method='sampled')",
-                  DeprecationWarning, stacklevel=2)
-    return _approximate_values_of_facts(query, pdb, n_samples, seed, epsilon, delta)

@@ -19,23 +19,6 @@ from ..queries.base import BooleanQuery
 from .svc import SVCMethod
 
 
-def max_shapley_value(query: BooleanQuery, pdb: PartitionedDatabase,
-                      method: SVCMethod = "auto") -> tuple[Fact, Fraction]:
-    """``max-SVC_q``: a fact of maximum Shapley value and that value.
-
-    Ties are broken deterministically by the shared ranking contract
-    (:func:`repro.engine.svc_engine._ranking_key`).  Raises ``ValueError`` on
-    a database without endogenous facts.  All values come from one batched
-    engine pass.
-
-    .. deprecated:: use ``AttributionSession(query, pdb).max()``.
-    """
-    from .svc import _legacy_session, _warn_deprecated
-
-    _warn_deprecated("max_shapley_value", "repro.api.AttributionSession(...).max()")
-    return _legacy_session(query, pdb, method, "auto").max()
-
-
 def singleton_support_facts(query: BooleanQuery, pdb: PartitionedDatabase) -> frozenset[Fact]:
     """Endogenous facts that are generalized supports on their own.
 

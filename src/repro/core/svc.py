@@ -1,41 +1,32 @@
-"""Shapley value computation for database facts (the SVC problem).
+"""Per-fact Shapley value pipelines for database facts (the SVC problem).
 
-Three algorithms are provided, corresponding to the three levels of the paper's
-story:
+The paper's reductions, one fact at a time:
 
-* ``method="brute"`` — the definition (Equation (2)), exponential in the number
-  of endogenous facts; the ground truth for tests.
-* ``method="counting"`` — Claim A.1 / Proposition 3.3: the Shapley value is an
-  affine combination of two FGMC vectors (on the database with the fact made
-  exogenous and on the database with the fact removed).  With the lineage-based
-  counter this is usually exponentially faster than brute force, and it is
-  *the* sense in which "Shapley value computation is a matter of counting".
-* ``method="safe"`` — the FP side of the dichotomies: FGMC vectors are obtained
-  from ``n + 1`` lifted-inference PQE evaluations through the Vandermonde
-  bridge, giving a polynomial-time algorithm for safe (U)CQs.
+* :func:`shapley_value_via_fgmc` — Claim A.1 / Proposition 3.3: the Shapley
+  value is an affine combination of two FGMC vectors (on the database with the
+  fact made exogenous and on the database with the fact removed).  With the
+  lineage-based counter this is usually exponentially faster than brute force,
+  and it is *the* sense in which "Shapley value computation is a matter of
+  counting".
+* :func:`shapley_value_safe_pipeline` — the FP side of the dichotomies: FGMC
+  vectors are obtained from ``n + 1`` lifted-inference PQE evaluations through
+  the Vandermonde bridge, giving a polynomial-time algorithm for safe (U)CQs.
 
-``method="auto"`` tries ``safe``, then ``counting``, then ``brute``.
-
-.. deprecated::
-    The free functions of this module are thin delegating shims over the
-    stable :class:`repro.api.AttributionSession` façade and emit
-    :class:`DeprecationWarning`; new code should construct a session (it adds
-    dichotomy-aware dispatch, typed reports and Monte-Carlo fallback).  The
-    historical per-fact pipelines (:func:`shapley_value_via_fgmc`,
-    :func:`shapley_value_safe_pipeline`) are NOT deprecated: they are the
-    reference implementations the batch benchmarks compare against.
+Both end at the Claim A.1 combiner :func:`shapley_value_from_fgmc_vectors`.
+Whole-database attribution goes through :class:`repro.api.AttributionSession`,
+whose engine derives every per-fact vector pair from one shared artefact;
+these pipelines are the references the batch benchmarks compare it against.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Literal
 
 from ..counting.problems import CountingMethod, fgmc_vector
 from ..data.atoms import Fact
 from ..data.database import PartitionedDatabase
-from ..engine.svc_engine import combine_fgmc_vectors
+from ..engine.backends import combine_fgmc_vectors
 from ..probability.interpolation import fgmc_vector_via_pqe
 from ..probability.lifted import UnsafeQueryError, lifted_probability
 from ..queries.base import BooleanQuery
@@ -46,37 +37,6 @@ SVCMethod = Literal["auto", "brute", "counting", "safe"]
 
 #: Claim A.1 combiner (canonical implementation lives with the batched engine).
 shapley_value_from_fgmc_vectors = combine_fgmc_vectors
-
-
-def _legacy_session(query: BooleanQuery, pdb: PartitionedDatabase,
-                    method: str, counting_method: str):
-    """An AttributionSession reproducing the legacy exact semantics.
-
-    ``on_hard="exact"`` pins the historical behaviour: ``method="auto"`` meant
-    the exact safe → counting → brute ladder, never Monte-Carlo fallback.
-    """
-    from ..api import AttributionSession, EngineConfig
-
-    config = EngineConfig(method=method, counting_method=counting_method,
-                          on_hard="exact")
-    return AttributionSession(query, pdb, config)
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new}",
-                  DeprecationWarning, stacklevel=3)
-
-
-def shapley_value_of_fact(query: BooleanQuery, pdb: PartitionedDatabase, fact: Fact,
-                          method: SVCMethod = "auto",
-                          counting_method: CountingMethod = "auto") -> Fraction:
-    """``SVC_q``: the Shapley value of an endogenous fact for the query.
-
-    .. deprecated:: use ``AttributionSession(query, pdb).of(fact).value``.
-    """
-    _warn_deprecated("shapley_value_of_fact",
-                     "repro.api.AttributionSession(...).of(fact).value")
-    return _legacy_session(query, pdb, method, counting_method).of(fact).value
 
 
 def shapley_value_via_fgmc(query: BooleanQuery, pdb: PartitionedDatabase, fact: Fact,
@@ -119,33 +79,3 @@ def shapley_value_safe_pipeline(query: "ConjunctiveQuery | UnionOfConjunctiveQue
     vector_with = fgmc_vector_via_pqe(query, with_fact, pqe_solver=solver)
     vector_without = fgmc_vector_via_pqe(query, without_fact, pqe_solver=solver)
     return shapley_value_from_fgmc_vectors(vector_with, vector_without, n)
-
-
-def shapley_values_of_facts(query: BooleanQuery, pdb: PartitionedDatabase,
-                            method: SVCMethod = "auto",
-                            counting_method: CountingMethod = "auto"
-                            ) -> dict[Fact, Fraction]:
-    """The Shapley value of every endogenous fact, batched through the engine.
-
-    .. deprecated:: use ``AttributionSession(query, pdb).values()``.
-    """
-    _warn_deprecated("shapley_values_of_facts",
-                     "repro.api.AttributionSession(...).values()")
-    return _legacy_session(query, pdb, method, counting_method).values()
-
-
-def rank_facts_by_shapley_value(query: BooleanQuery, pdb: PartitionedDatabase,
-                                method: SVCMethod = "auto",
-                                counting_method: CountingMethod = "auto"
-                                ) -> list[tuple[Fact, Fraction]]:
-    """Endogenous facts sorted by decreasing Shapley value.
-
-    Ties are broken deterministically by the shared ranking contract
-    (:func:`repro.engine.svc_engine._ranking_key`: decreasing value, then the
-    library's total order on facts).
-
-    .. deprecated:: use ``AttributionSession(query, pdb).ranking()``.
-    """
-    _warn_deprecated("rank_facts_by_shapley_value",
-                     "repro.api.AttributionSession(...).ranking()")
-    return _legacy_session(query, pdb, method, counting_method).ranking()

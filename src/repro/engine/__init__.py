@@ -6,6 +6,7 @@ configured :class:`repro.values.ValueIndex` — derived from it by
 conditioning.  See :mod:`repro.engine.svc_engine` for the design notes.
 """
 
+from .backends import combine_fgmc_vectors
 from .sharding import (
     ComponentResult,
     LineageDecomposition,
@@ -22,7 +23,6 @@ from .svc_engine import (
     ShardPolicy,
     SVCEngine,
     clear_engine_cache,
-    combine_fgmc_vectors,
     engine_cache_stats,
     get_engine,
     resolve_auto_backend,

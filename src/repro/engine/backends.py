@@ -65,19 +65,6 @@ def counting_value_from_lineage(lineage: "Lineage", fact: Fact,
     return index.combine(with_vec, without_vec, lineage.n_variables)
 
 
-def counting_value_brute(query: "BooleanQuery", pdb: PartitionedDatabase,
-                         fact: Fact, index: ValueIndex = SHAPLEY) -> Fraction:
-    """The index value of one fact from brute-force FGMC vectors of the two
-    derived databases (the counting backend when no lineage applies)."""
-    from ..counting.problems import fgmc_vector
-
-    with_pdb = PartitionedDatabase(pdb.endogenous - {fact}, pdb.exogenous | {fact})
-    without_pdb = PartitionedDatabase(pdb.endogenous - {fact}, pdb.exogenous)
-    with_vec = fgmc_vector(query, with_pdb, method="brute")
-    without_vec = fgmc_vector(query, without_pdb, method="brute")
-    return index.combine(with_vec, without_vec, len(pdb.endogenous))
-
-
 # ---------------------------------------------------------------------------
 # circuit backend
 # ---------------------------------------------------------------------------
@@ -213,7 +200,6 @@ __all__ = [
     "circuit_values_from_compiled",
     "coalition_values_of_size",
     "combine_fgmc_vectors",
-    "counting_value_brute",
     "counting_value_from_lineage",
     "safe_value_from_plan",
 ]

@@ -90,13 +90,9 @@ def _fact_chunk_values(facts: Sequence[Fact]) -> "list[tuple[Fact, Fraction]]":
         compiled = artefact
         return list(backends.circuit_values_from_compiled(compiled, facts,
                                                           index).items())
-    if kind == "counting-lineage":
+    if kind == "counting":
         lineage = artefact
         return [(f, backends.counting_value_from_lineage(lineage, f, index))
-                for f in facts]
-    if kind == "counting-brute":
-        query, pdb = artefact
-        return [(f, backends.counting_value_brute(query, pdb, f, index))
                 for f in facts]
     if kind == "safe":
         query, plan, pdb, full_vector = artefact

@@ -14,7 +14,9 @@ per-fact vector pair from **one** shared artefact per ``(query, database)``:
   node budget, beyond which the engine falls back to ``counting``,
 * ``counting`` — build the lineage once and obtain each pair by *conditioning*
   the DNF (``x_μ := true`` / ``x_μ := false``); the memoised component
-  decomposition of the counter is shared across all ``n`` conditionings,
+  decomposition of the counter is shared across all ``n`` conditionings.
+  Only hom-closed queries have a lineage: an explicit ``counting`` request on
+  any other query resolves to ``brute`` (the same ``Fraction``s),
 * ``safe``     — compile one safe plan, interpolate the full-database FGMC
   vector once, and per fact interpolate only the "fact removed" vector; the
   "fact exogenous" vector follows from the partition identity
@@ -27,8 +29,8 @@ per-fact vector pair from **one** shared artefact per ``(query, database)``:
 ``method="auto"`` resolves safe → circuit → brute from the query's structure
 alone (:func:`resolve_auto_backend`); the circuit choice degrades to
 ``counting`` at artefact-build time when compilation blows the node budget.
-A module-level LRU keyed by ``(query, pdb, resolved method, counting_method,
-workers, parallel_threshold, circuit_node_budget, store, shard, index)`` lets
+A module-level LRU keyed by ``(query, pdb, resolved method, workers,
+parallel_threshold, circuit_node_budget, store, shard, index)`` lets
 independent call sites (ranking, max-SVC, relevance analysis, CLI) reuse the
 same engine and its artefacts; ``auto`` is resolved to its concrete backend
 *before* keying, so an ``auto`` call and an explicit call share one engine.
@@ -64,7 +66,6 @@ from ..compile import (
     compile_lineage,
 )
 from ..counting.lineage import Lineage, build_lineage
-from ..counting.problems import CountingMethod
 from ..data.atoms import Fact
 from ..data.database import PartitionedDatabase
 from ..probability.interpolation import fgmc_vector_via_pqe
@@ -74,7 +75,6 @@ from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
 from ..values import ValueIndex, get_index
 from . import backends, parallel, sharding
-from .backends import combine_fgmc_vectors  # noqa: F401  (historic export)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # repro.workspace sits *above* the engine (its workspace module builds on
@@ -106,12 +106,12 @@ SHARD_POLICIES = ("auto", "component", "fact")
 def resolve_auto_backend(query: BooleanQuery) -> "tuple[str, Plan | None]":
     """Resolve ``method="auto"`` to its concrete backend from the query alone.
 
-    The ladder of the per-fact :func:`repro.core.svc.shapley_value_of_fact`,
-    extended by knowledge compilation: a safe plan when the conservative
-    compiler finds one, else the circuit backend for (C-)hom-closed queries
-    (it degrades to ``counting`` per instance if compilation blows the node
-    budget — an instance-level decision that cannot be made here), else brute
-    force.  Returns the compiled safe plan alongside the name so callers that
+    The exact safe → counting → brute ladder, extended by knowledge
+    compilation: a safe plan when the conservative compiler finds one, else
+    the circuit backend for (C-)hom-closed queries (it degrades to
+    ``counting`` per instance if compilation blows the node budget — an
+    instance-level decision that cannot be made here), else brute force.
+    Returns the compiled safe plan alongside the name so callers that
     resolved eagerly (the engine LRU) can seed the engine without compiling
     the plan twice.
     """
@@ -138,7 +138,6 @@ def _ranking_key(item: "tuple[Fact, Fraction]") -> "tuple[Fraction, Fact]":
     Facts are ordered by decreasing Shapley value; equal values are broken by
     the library's total order on facts (NOT by string rendering).  This is the
     single deterministic tie-breaking contract promised by
-    :func:`repro.core.svc.rank_facts_by_shapley_value`,
     :meth:`SVCEngine.ranking` and :meth:`repro.api.AttributionSession.ranking`.
     """
     fact, value = item
@@ -165,7 +164,6 @@ class SVCEngine:
 
     def __init__(self, query: BooleanQuery, pdb: PartitionedDatabase,
                  method: EngineBackend = "auto",
-                 counting_method: CountingMethod = "auto",
                  workers: int = 1,
                  parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
                  circuit_node_budget: int = DEFAULT_NODE_BUDGET,
@@ -186,7 +184,6 @@ class SVCEngine:
         self.query = query
         self.pdb = pdb
         self.method = method
-        self.counting_method = counting_method
         self.workers = workers
         self.parallel_threshold = parallel_threshold
         self.circuit_node_budget = circuit_node_budget
@@ -203,7 +200,6 @@ class SVCEngine:
         self._full_vector: "list[int] | None" = None
         self._value_table: "dict[frozenset[Fact], int] | None" = None
         self._values: dict[Fact, Fraction] = {}
-        self._counting_resolved: "str | None" = None
         self._workers_used: int = 1
         self._decomposition_memo: "sharding.LineageDecomposition | None" = None
         self._component_results_memo: "tuple[sharding.ComponentResult, ...] | None" = None
@@ -216,6 +212,11 @@ class SVCEngine:
         return self._backend
 
     def _resolve_backend(self) -> str:
+        if self.method == "counting" and not self.query.is_hom_closed:
+            # No lineage to condition.  The coalition table's pairs differ
+            # from the FGMC pairs only by the q(Dx) offset, which cancels in
+            # with[j] - without[j], all that any index reads.
+            return "brute"
         if self.method in ("brute", "counting"):
             return self.method
         if self.method == "safe":
@@ -320,22 +321,9 @@ class SVCEngine:
         return self._value_table
 
     # -- per-backend value computations ------------------------------------------
-    def _resolved_counting_method(self) -> str:
-        if self._counting_resolved is None:
-            if self.counting_method == "auto":
-                self._counting_resolved = "lineage" if self.query.is_hom_closed else "brute"
-            elif self.counting_method == "lineage" and not self.query.is_hom_closed:
-                raise ValueError("lineage counting requires a hom-closed query")
-            else:
-                self._counting_resolved = self.counting_method
-        return self._counting_resolved
-
     def _value_counting(self, fact: Fact) -> Fraction:
-        if self._resolved_counting_method() == "lineage":
-            return backends.counting_value_from_lineage(self.lineage(), fact,
-                                                        self._index)
-        return backends.counting_value_brute(self.query, self.pdb, fact,
-                                             self._index)
+        return backends.counting_value_from_lineage(self.lineage(), fact,
+                                                    self._index)
 
     def _value_safe(self, fact: Fact) -> Fraction:
         return backends.safe_value_from_plan(self.query, self._ensure_plan(),
@@ -377,10 +365,6 @@ class SVCEngine:
         one island means component-wise compute *is* whole-formula compute.
         """
         if self.shard == "fact" or backend not in ("circuit", "counting"):
-            return False
-        if backend == "counting" and (
-                not self.query.is_hom_closed
-                or self._resolved_counting_method() != "lineage"):
             return False
         if self.shard == "component":
             return True
@@ -458,9 +442,7 @@ class SVCEngine:
         if backend == "circuit":
             return ("circuit", self._ensure_compiled())
         if backend == "counting":
-            if self._resolved_counting_method() == "lineage":
-                return ("counting-lineage", self.lineage())
-            return ("counting-brute", (self.query, self.pdb))
+            return ("counting", self.lineage())
         if backend == "safe":
             return ("safe", (self.query, self._ensure_plan(), self.pdb,
                              self._full_fgmc()))
@@ -678,7 +660,6 @@ _ENGINE_CACHE_LOCK = threading.Lock()
 
 def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
                method: EngineBackend = "auto",
-               counting_method: CountingMethod = "auto",
                workers: int = 1,
                parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
                circuit_node_budget: int = DEFAULT_NODE_BUDGET,
@@ -688,9 +669,9 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
     """A (possibly cached) engine for the given query, database and backend.
 
     Engines are cached in an LRU keyed by ``(query, pdb, resolved method,
-    counting_method, workers, parallel_threshold, circuit_node_budget,
-    store, shard, index)`` so that repeated whole-database workloads — ranking, max-SVC,
-    relevance analysis, CLI invocations — share one lineage / plan / circuit.
+    workers, parallel_threshold, circuit_node_budget, store, shard, index)``
+    so that repeated whole-database workloads — ranking, max-SVC, relevance
+    analysis, CLI invocations — share one lineage / plan / circuit.
     Unhashable queries fall back to a fresh, uncached engine (counted as a
     miss in :func:`engine_cache_stats`).  ``store`` (an optional
     :class:`repro.workspace.ArtifactStore`, compared by identity) lets those
@@ -720,14 +701,13 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
         except TypeError:  # unhashable query: the engine resolves privately
             with _ENGINE_CACHE_LOCK:
                 _CACHE_MISSES += 1
-            return SVCEngine(query, pdb, method, counting_method,
-                             workers, parallel_threshold, circuit_node_budget,
-                             store, shard, index)
+            return SVCEngine(query, pdb, method, workers,
+                             parallel_threshold, circuit_node_budget, store, shard, index)
     # The *requested* shard policy is keyed (resolving "auto" to an axis
     # needs the lineage, far too expensive at key time); an "auto" call and
     # an explicit "component" call therefore hold separate engines even when
     # auto resolves to the component axis.
-    key = (query, pdb, resolved, counting_method, workers, parallel_threshold,
+    key = (query, pdb, resolved, workers, parallel_threshold,
            circuit_node_budget, store, shard, index)
     try:
         with _ENGINE_CACHE_LOCK:
@@ -741,12 +721,10 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
     except TypeError:
         with _ENGINE_CACHE_LOCK:
             _CACHE_MISSES += 1
-        return SVCEngine(query, pdb, resolved, counting_method,
-                         workers, parallel_threshold, circuit_node_budget,
-                         store, shard, index)
-    engine = SVCEngine(query, pdb, resolved, counting_method,
-                       workers, parallel_threshold, circuit_node_budget,
-                       store, shard, index)
+        return SVCEngine(query, pdb, resolved, workers,
+                         parallel_threshold, circuit_node_budget, store, shard, index)
+    engine = SVCEngine(query, pdb, resolved, workers,
+                       parallel_threshold, circuit_node_budget, store, shard, index)
     if plan is not None:
         # auto already compiled the plan: don't pay twice.  Seeding bypasses
         # _ensure_plan, so persist it here too — otherwise auto-dispatched

@@ -1,8 +1,8 @@
 """The package-wide exception hierarchy.
 
 All errors deliberately raised by the public API derive from
-:class:`ReproError`, so callers of :class:`repro.api.AttributionSession` (and
-of the legacy free functions that delegate to it) can catch one base class.
+:class:`ReproError`, so callers of :class:`repro.api.AttributionSession` can
+catch one base class.
 Where an error replaces a historical ``ValueError`` the subclass also inherits
 ``ValueError``, so pre-existing ``except ValueError`` call sites keep working.
 

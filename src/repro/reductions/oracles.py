@@ -41,8 +41,7 @@ class FGMCOracle(Protocol):
     def __call__(self, query: BooleanQuery, pdb: PartitionedDatabase) -> list[int]: ...
 
 
-def exact_svc_oracle(method: SVCMethod = "auto",
-                     counting_method: CountingMethod = "auto") -> SVCOracle:
+def exact_svc_oracle(method: SVCMethod = "auto") -> SVCOracle:
     """An SVC oracle backed by the batched :class:`repro.engine.SVCEngine`.
 
     Reductions require a *specific* solver, so the oracle addresses the engine
@@ -51,7 +50,7 @@ def exact_svc_oracle(method: SVCMethod = "auto",
     """
 
     def oracle(query: BooleanQuery, pdb: PartitionedDatabase, fact: Fact) -> Fraction:
-        return get_engine(query, pdb, method, counting_method).value_of(fact)
+        return get_engine(query, pdb, method).value_of(fact)
 
     return oracle
 

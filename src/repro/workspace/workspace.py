@@ -330,12 +330,8 @@ class AttributionWorkspace:
         if not query.is_hom_closed:
             return None
         method = self._config.method
-        if method == "circuit":
-            return "circuit"
-        if method == "counting":
-            return ("counting"
-                    if self._config.counting_method in ("auto", "lineage")
-                    else None)
+        if method in ("circuit", "counting"):
+            return method
         if method == "auto":
             try:
                 resolved, _ = _resolved_auto(query)

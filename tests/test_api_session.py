@@ -1,9 +1,10 @@
 """Tests for the ``repro.api`` attribution session (the new stable surface).
 
-This file is also the *deprecation gate* target: CI runs it with
-``-W error::DeprecationWarning``, so nothing here may go through a legacy shim
-(except inside ``pytest.warns(DeprecationWarning)`` blocks, which assert that
-the shims do warn).
+The *deprecation gate* covers this file with the rest of tier-1: CI runs the
+whole suite with ``-W error::DeprecationWarning``, so any deprecated call
+reached from a test fails it.  The package itself emits no
+``DeprecationWarning``; the legacy free functions that once did were removed
+in favour of the session.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from repro.api import (
     UnsafeQueryError,
     attribute,
 )
-from repro.data import Database, PartitionedDatabase, atom, fact, var
+from repro.data import (
+    Database,
+    PartitionedDatabase,
+    atom,
+    bipartite_rst_database,
+    fact,
+    partition_by_relation,
+    var,
+)
 from repro.engine import SVCEngine, clear_engine_cache, engine_cache_stats, get_engine
 from repro.engine.svc_engine import _ranking_key
 from repro.experiments import full_catalog
@@ -134,6 +143,12 @@ class TestReportRoundTrip:
         assert reloaded == report
         # Reloaded reports serialise back to the identical JSON document.
         assert reloaded.to_json() == report.to_json()
+        # Documents written while EngineConfig had a counting_method field
+        # still load: the retired key is dropped.
+        for counting_method in ("auto", "brute", "lineage"):
+            payload = report.to_json_dict()
+            payload["config"]["counting_method"] = counting_method
+            assert AttributionReport.from_json_dict(payload) == report
 
     def test_round_trip_preserves_efficiency_and_samples(self, rst_exogenous_pdb):
         config = EngineConfig(method="sampled", n_samples=32, seed=3)
@@ -287,11 +302,9 @@ class TestRankingTieBreaking:
         session_ranking = AttributionSession(Q_HIER, pdb).ranking()
         engine_ranking = SVCEngine(Q_HIER, pdb).ranking()
         assert session_ranking == engine_ranking
-        from repro.core import rank_facts_by_shapley_value
-
-        with pytest.warns(DeprecationWarning):
-            shim_ranking = rank_facts_by_shapley_value(Q_HIER, pdb)
-        assert shim_ranking == engine_ranking
+        exact_ranking = AttributionSession(
+            Q_HIER, pdb, EngineConfig(on_hard="exact")).ranking()
+        assert exact_ranking == engine_ranking
 
     def test_ranking_key_is_the_single_contract(self):
         pdb = self._symmetric_instance()
@@ -336,10 +349,6 @@ class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ConfigError):
             EngineConfig(method="magic")
-
-    def test_bad_counting_method(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(counting_method="sat")
 
     def test_bad_epsilon_delta(self):
         with pytest.raises(ConfigError):
@@ -432,57 +441,21 @@ class TestEngineCacheHygiene:
 
 
 class TestDeprecatedShims:
-    """The legacy free functions still work, delegate, and warn."""
+    """The legacy free functions are removed; the semantics they pinned stay.
 
-    def test_shapley_values_of_facts_shim(self, rst_exogenous_pdb):
-        from repro.core import shapley_values_of_facts
-
-        with pytest.warns(DeprecationWarning, match="AttributionSession"):
-            values = shapley_values_of_facts(Q_RST, rst_exogenous_pdb)
-        assert values == AttributionSession(Q_RST, rst_exogenous_pdb).values()
-
-    def test_shapley_value_of_fact_shim(self, rst_exogenous_pdb):
-        from repro.core import shapley_value_of_fact
-
-        target = sorted(rst_exogenous_pdb.endogenous)[0]
-        with pytest.warns(DeprecationWarning):
-            value = shapley_value_of_fact(Q_RST, rst_exogenous_pdb, target)
-        assert value == AttributionSession(Q_RST, rst_exogenous_pdb).of(target).value
-
-    def test_max_shapley_value_shim(self, rst_exogenous_pdb):
-        from repro.core import max_shapley_value
-
-        with pytest.warns(DeprecationWarning):
-            best = max_shapley_value(Q_RST, rst_exogenous_pdb)
-        assert best == AttributionSession(Q_RST, rst_exogenous_pdb).max()
-
-    def test_approximate_values_shim(self, rst_exogenous_pdb):
-        from repro.core import approximate_shapley_values_of_facts
-
-        with pytest.warns(DeprecationWarning):
-            estimates = approximate_shapley_values_of_facts(
-                Q_RST, rst_exogenous_pdb, n_samples=16)
-        assert set(estimates) == rst_exogenous_pdb.endogenous
-
-    def test_null_player_facts_shim(self, rst_exogenous_pdb):
-        from repro.analysis.relevance import null_player_facts
-
-        with pytest.warns(DeprecationWarning):
-            nulls = null_player_facts(rst_exogenous_pdb, Q_RST)
-        assert nulls == AttributionSession(Q_RST, rst_exogenous_pdb).null_players()
+    They ran ``AttributionSession`` with ``on_hard="exact"``, which is how
+    their callers now spell the same call.
+    """
 
     def test_legacy_auto_never_samples(self):
         # Legacy semantics pinned: "auto" meant the exact ladder even on hard
         # queries over large databases.
-        from repro.core import shapley_values_of_facts
-        from repro.data import bipartite_rst_database, partition_by_relation
-
         db = bipartite_rst_database(3, 6, 1.0, seed=1)
         pdb = partition_by_relation(db, exogenous_relations=("R", "T"))
         assert len(pdb.endogenous) == 18  # above the default exact_size_limit
-        with pytest.warns(DeprecationWarning):
-            values = shapley_values_of_facts(Q_RST, pdb)
-        total = sum(values.values(), Fraction(0))
+        session = AttributionSession(Q_RST, pdb, EngineConfig(on_hard="exact"))
+        assert session.backend() != "sampled"
+        total = sum(session.values().values(), Fraction(0))
         assert total == 1  # exact efficiency, impossible for a sampled run to guarantee
 
 

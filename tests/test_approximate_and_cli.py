@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.api import AttributionSession, EngineConfig
 from repro.cli import main
 from repro.core import (
     ExplicitGame,
     approximate_shapley_value,
     approximate_shapley_value_of_fact,
-    approximate_shapley_values_of_facts,
     samples_for_guarantee,
-    shapley_value_of_fact,
 )
 from repro.data import fact
 from repro.experiments import q_rst
@@ -83,14 +82,16 @@ class TestApproximateShapley:
 
     def test_estimate_close_to_exact_value(self, q_rst, small_pdb):
         target = sorted(small_pdb.endogenous)[0]
-        exact = shapley_value_of_fact(q_rst, small_pdb, target, "counting")
+        exact = AttributionSession(q_rst, small_pdb, EngineConfig(
+            method="counting", on_hard="exact")).of(target).value
         estimate = approximate_shapley_value_of_fact(q_rst, small_pdb, target,
                                                      n_samples=3000, seed=11).estimate
         assert abs(float(estimate) - float(exact)) < 0.08
 
     def test_estimates_lie_in_unit_interval(self, q_rst, small_pdb):
-        results = approximate_shapley_values_of_facts(q_rst, small_pdb, n_samples=200, seed=5)
-        assert all(0 <= result.estimate <= 1 for result in results.values())
+        session = AttributionSession(q_rst, small_pdb, EngineConfig(
+            method="sampled", n_samples=200, seed=5))
+        assert all(0 <= estimate <= 1 for estimate in session.values().values())
 
     def test_seed_reproducibility(self, q_rst, small_pdb):
         target = sorted(small_pdb.endogenous)[0]

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import AttributionSession, EngineConfig
 from repro.core import (
     QueryGame,
-    rank_facts_by_shapley_value,
     shapley_value_from_fgmc_vectors,
-    shapley_value_of_fact,
     shapley_value_safe_pipeline,
     shapley_value_via_fgmc,
-    shapley_values_of_facts,
 )
 from repro.data import atom, fact, partitioned, var
 from repro.probability import UnsafeQueryError
@@ -20,25 +18,30 @@ from repro.queries import cq_with_negation, rpq
 X, Y, Z = var("x"), var("y"), var("z")
 
 
+def _exact(query, pdb, method="auto"):
+    """A session that never samples (``on_hard="exact"``)."""
+    return AttributionSession(query, pdb, EngineConfig(method=method, on_hard="exact"))
+
+
 class TestSVCMethodsAgree:
     def test_counting_equals_brute_on_hard_query(self, q_rst, small_pdb):
         for f in sorted(small_pdb.endogenous)[:3]:
-            brute = shapley_value_of_fact(q_rst, small_pdb, f, "brute")
-            counting = shapley_value_of_fact(q_rst, small_pdb, f, "counting")
+            brute = _exact(q_rst, small_pdb, "brute").of(f).value
+            counting = _exact(q_rst, small_pdb, "counting").of(f).value
             assert brute == counting
 
     def test_safe_pipeline_equals_brute_on_safe_query(self, q_hier, small_pdb):
         for f in sorted(small_pdb.endogenous)[:3]:
-            brute = shapley_value_of_fact(q_hier, small_pdb, f, "brute")
-            safe = shapley_value_of_fact(q_hier, small_pdb, f, "safe")
+            brute = _exact(q_hier, small_pdb, "brute").of(f).value
+            safe = _exact(q_hier, small_pdb, "safe").of(f).value
             assert brute == safe
 
     def test_auto_method_on_safe_and_unsafe(self, q_rst, q_hier, small_pdb):
         f = sorted(small_pdb.endogenous)[0]
-        assert shapley_value_of_fact(q_hier, small_pdb, f, "auto") == shapley_value_of_fact(
-            q_hier, small_pdb, f, "brute")
-        assert shapley_value_of_fact(q_rst, small_pdb, f, "auto") == shapley_value_of_fact(
-            q_rst, small_pdb, f, "brute")
+        assert _exact(q_hier, small_pdb, "auto").of(f).value == _exact(
+            q_hier, small_pdb, "brute").of(f).value
+        assert _exact(q_rst, small_pdb, "auto").of(f).value == _exact(
+            q_rst, small_pdb, "brute").of(f).value
 
     def test_safe_pipeline_rejects_unsafe_query(self, q_rst, small_pdb):
         f = sorted(small_pdb.endogenous)[0]
@@ -51,13 +54,13 @@ class TestSVCMethodsAgree:
         q = rpq("A B C", "a", "b")
         pdb = purely_endogenous(tiny_graph_db)
         f = fact("B", "m1", "m2")
-        assert shapley_value_of_fact(q, pdb, f, "counting") == shapley_value_of_fact(
-            q, pdb, f, "brute")
+        assert _exact(q, pdb, "counting").of(f).value == _exact(
+            q, pdb, "brute").of(f).value
 
     def test_negation_query_uses_brute_force(self):
         q = cq_with_negation([atom("R", X), atom("S", X, Y)], [atom("N", X, Y)])
         pdb = partitioned([fact("S", "a", "b"), fact("N", "a", "b")], [fact("R", "a")])
-        value = shapley_value_of_fact(q, pdb, fact("S", "a", "b"), "auto")
+        value = _exact(q, pdb, "auto").of(fact("S", "a", "b")).value
         # With N(a,b) present, S(a,b) alone never satisfies the query; its arrival
         # only helps when N(a,b) is absent, i.e. never (N is endogenous: when N absent,
         # S's arrival does satisfy). Verify against the definition directly.
@@ -70,41 +73,41 @@ class TestSVCMethodsAgree:
     def test_non_endogenous_fact_rejected(self, q_rst, rst_exogenous_pdb):
         exo = sorted(rst_exogenous_pdb.exogenous)[0]
         with pytest.raises(ValueError):
-            shapley_value_of_fact(q_rst, rst_exogenous_pdb, exo)
+            _exact(q_rst, rst_exogenous_pdb).of(exo)
 
 
 class TestKnownValues:
     def test_single_necessary_fact_gets_full_credit(self, q_rst):
         pdb = partitioned([fact("S", "a", "b")], [fact("R", "a"), fact("T", "b")])
-        assert shapley_value_of_fact(q_rst, pdb, fact("S", "a", "b")) == 1
+        assert _exact(q_rst, pdb).of(fact("S", "a", "b")).value == 1
 
     def test_two_interchangeable_facts_share_credit(self, q_rst):
         pdb = partitioned([fact("S", "a", "b"), fact("S", "a2", "b2")],
                           [fact("R", "a"), fact("T", "b"), fact("R", "a2"), fact("T", "b2")])
-        values = shapley_values_of_facts(q_rst, pdb)
+        values = _exact(q_rst, pdb).values()
         assert set(values.values()) == {Fraction(1, 2)}
 
     def test_fact_with_zero_contribution(self, q_rst):
         # The S fact dangling from a node with no R fact can never help.
         pdb = partitioned([fact("S", "a", "b"), fact("S", "c", "b")],
                           [fact("R", "a"), fact("T", "b")])
-        values = shapley_values_of_facts(q_rst, pdb)
+        values = _exact(q_rst, pdb).values()
         assert values[fact("S", "c", "b")] == 0
         assert values[fact("S", "a", "b")] == 1
 
     def test_exogenous_satisfaction_gives_all_zero(self, q_rst):
         pdb = partitioned([fact("S", "c", "d")],
                           [fact("R", "a"), fact("S", "a", "b"), fact("T", "b")])
-        assert shapley_value_of_fact(q_rst, pdb, fact("S", "c", "d")) == 0
+        assert _exact(q_rst, pdb).of(fact("S", "c", "d")).value == 0
 
     def test_series_configuration_values(self, q_hier):
         # R(a) and S(a, b) are both required: each gets 1/2.
         pdb = partitioned([fact("R", "a"), fact("S", "a", "b")], [])
-        values = shapley_values_of_facts(q_hier, pdb)
+        values = _exact(q_hier, pdb).values()
         assert set(values.values()) == {Fraction(1, 2)}
 
     def test_efficiency_of_counting_method(self, q_rst, small_pdb):
-        values = shapley_values_of_facts(q_rst, small_pdb, "counting")
+        values = _exact(q_rst, small_pdb, "counting").values()
         game = QueryGame(q_rst, small_pdb)
         assert sum(values.values()) == game.value(small_pdb.endogenous)
 
@@ -121,16 +124,16 @@ class TestClaimA1Combination:
 
     def test_via_fgmc_wrapper(self, q_rst, small_pdb):
         f = sorted(small_pdb.endogenous)[0]
-        assert shapley_value_via_fgmc(q_rst, small_pdb, f, "lineage") == shapley_value_of_fact(
-            q_rst, small_pdb, f, "brute")
+        assert shapley_value_via_fgmc(q_rst, small_pdb, f, "lineage") == _exact(
+            q_rst, small_pdb, "brute").of(f).value
 
 
 class TestRanking:
     def test_ranking_is_sorted_descending(self, q_rst, small_pdb):
-        ranked = rank_facts_by_shapley_value(q_rst, small_pdb, "counting")
+        ranked = _exact(q_rst, small_pdb, "counting").ranking()
         values = [value for _, value in ranked]
         assert values == sorted(values, reverse=True)
 
     def test_ranking_contains_every_endogenous_fact(self, q_rst, small_pdb):
-        ranked = rank_facts_by_shapley_value(q_rst, small_pdb, "counting")
+        ranked = _exact(q_rst, small_pdb, "counting").ranking()
         assert {f for f, _ in ranked} == small_pdb.endogenous

@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import AttributionSession, EngineConfig
 from repro.core import (
     fgmc_constants_vector,
     fmc_constants_vector,
-    max_shapley_value,
     max_shapley_value_with_shortcut,
     shapley_value_endogenous,
     shapley_value_endogenous_via_fmc,
     shapley_value_of_constant,
-    shapley_value_of_fact,
     shapley_values_endogenous,
     shapley_values_of_constants,
     singleton_support_facts,
@@ -32,6 +31,11 @@ from repro.queries import cq
 X, Y = var("x"), var("y")
 
 
+def _exact(query, pdb, method="auto"):
+    """A session that never samples (``on_hard="exact"``)."""
+    return AttributionSession(query, pdb, EngineConfig(method=method, on_hard="exact"))
+
+
 class TestEndogenousSVC:
     def test_requires_no_exogenous_facts(self, q_rst, small_pdb):
         if small_pdb.exogenous:
@@ -41,7 +45,7 @@ class TestEndogenousSVC:
     def test_matches_general_svc_on_endogenous_database(self, q_rst, endogenous_bipartite):
         f = sorted(endogenous_bipartite.endogenous)[0]
         assert shapley_value_endogenous(q_rst, endogenous_bipartite, f, "brute") == \
-            shapley_value_of_fact(q_rst, endogenous_bipartite, f, "brute")
+            _exact(q_rst, endogenous_bipartite, "brute").of(f).value
 
     def test_corollary_6_1_reduction_to_fmc(self, q_rst, endogenous_bipartite):
         for f in sorted(endogenous_bipartite.endogenous)[:4]:
@@ -52,8 +56,8 @@ class TestEndogenousSVC:
     def test_accepts_plain_database(self, q_hier, small_bipartite_db):
         f = sorted(small_bipartite_db.facts)[0]
         value = shapley_value_endogenous(q_hier, small_bipartite_db, f)
-        assert value == shapley_value_of_fact(q_hier, purely_endogenous(small_bipartite_db), f,
-                                              "brute")
+        assert value == _exact(q_hier, purely_endogenous(small_bipartite_db),
+                               "brute").of(f).value
 
     def test_all_values(self, q_hier, endogenous_bipartite):
         values = shapley_values_endogenous(q_hier, endogenous_bipartite, "counting")
@@ -66,13 +70,11 @@ class TestEndogenousSVC:
 
 class TestMaxSVC:
     def test_max_matches_exhaustive_maximum(self, q_rst, small_pdb):
-        from repro.core import shapley_values_of_facts
-
-        _, best = max_shapley_value(q_rst, small_pdb, "counting")
-        assert best == max(shapley_values_of_facts(q_rst, small_pdb, "counting").values())
+        _, best = _exact(q_rst, small_pdb, "counting").max()
+        assert best == max(_exact(q_rst, small_pdb, "counting").values().values())
 
     def test_shortcut_agrees_with_full_computation(self, q_rst, small_pdb):
-        _, full = max_shapley_value(q_rst, small_pdb, "counting")
+        _, full = _exact(q_rst, small_pdb, "counting").max()
         _, shortcut = max_shapley_value_with_shortcut(q_rst, small_pdb, "counting")
         assert full == shortcut
 
@@ -87,7 +89,7 @@ class TestMaxSVC:
 
     def test_empty_database_rejected(self, q_rst):
         with pytest.raises(ValueError):
-            max_shapley_value(q_rst, partitioned([], [fact("R", "a")]))
+            _exact(q_rst, partitioned([], [fact("R", "a")])).max()
 
     def test_no_singleton_when_exogenous_satisfy(self, q_rst):
         pdb = partitioned([fact("S", "c", "d")],

@@ -7,23 +7,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import irrelevant_endogenous_facts, null_player_facts
-from repro.core import (
-    max_shapley_value,
-    rank_facts_by_shapley_value,
-    shapley_value_of_fact,
-    shapley_value_via_fgmc,
-    shapley_values_of_facts,
-)
+from repro.analysis import irrelevant_endogenous_facts
+from repro.api import AttributionSession, EngineConfig
+from repro.core import shapley_value_via_fgmc
 from repro.counting import MonotoneDNF, build_lineage
 from repro.data import Database, PartitionedDatabase, atom, fact, var
 from repro.engine import SVCEngine, clear_engine_cache, get_engine
 from repro.probability import UnsafeQueryError
 from repro.queries import cq, rpq
+from repro.values import INDICES
 
 X, Y = var("x"), var("y")
 Q_RST = cq(atom("R", X), atom("S", X, Y), atom("T", Y), name="q_RST")
 Q_HIER = cq(atom("R", X), atom("S", X, Y), name="q_hier")
+
+
+def _exact(query, pdb, method="auto"):
+    """A session that never samples (``on_hard="exact"``), for reference values."""
+    return AttributionSession(query, pdb, EngineConfig(method=method, on_hard="exact"))
 
 
 # --------------------------------------------------------------------------
@@ -112,18 +113,21 @@ class TestLineageConditioning:
 class TestSVCEngine:
     def test_counting_backend_matches_brute(self, q_rst, small_pdb):
         batch = SVCEngine(q_rst, small_pdb, method="counting").all_values()
+        brute = _exact(q_rst, small_pdb, "brute")
         for f, value in batch.items():
-            assert value == shapley_value_of_fact(q_rst, small_pdb, f, "brute")
+            assert value == brute.of(f).value
 
     def test_safe_backend_matches_brute(self, q_hier, small_pdb):
         batch = SVCEngine(q_hier, small_pdb, method="safe").all_values()
+        brute = _exact(q_hier, small_pdb, "brute")
         for f, value in batch.items():
-            assert value == shapley_value_of_fact(q_hier, small_pdb, f, "brute")
+            assert value == brute.of(f).value
 
     def test_brute_backend_matches_per_fact_brute(self, q_rst, small_pdb):
         batch = SVCEngine(q_rst, small_pdb, method="brute").all_values()
+        brute = _exact(q_rst, small_pdb, "brute")
         for f, value in batch.items():
-            assert value == shapley_value_of_fact(q_rst, small_pdb, f, "brute")
+            assert value == brute.of(f).value
 
     def test_auto_resolves_safe_for_hierarchical_query(self, q_hier, small_pdb):
         engine = SVCEngine(q_hier, small_pdb)
@@ -148,14 +152,28 @@ class TestSVCEngine:
             with pytest.raises(UnsafeQueryError):
                 engine.all_values()
 
-    def test_counting_lineage_on_non_hom_closed_raises(self, small_pdb):
-        from repro.queries import cq_with_negation
+    def test_counting_on_non_hom_closed_resolves_to_brute(self):
+        # No lineage applies to a CQ with negation: an explicit counting
+        # request runs the coalition table and says so.
+        from repro.data import partition_randomly
+        from repro.experiments import q_negation_hard
 
-        query = cq_with_negation([atom("R", X)], [atom("T", X)])
-        engine = SVCEngine(query, small_pdb, method="counting", counting_method="lineage")
-        if small_pdb.endogenous:
-            with pytest.raises(ValueError):
-                engine.all_values()
+        query = q_negation_hard()
+        db = Database([fact("R", "a"), fact("R", "b"), fact("T", "c"),
+                       fact("T", "d"), fact("S", "a", "c"), fact("S", "b", "c"),
+                       fact("S", "a", "d"), fact("N", "a", "c"),
+                       fact("N", "b", "d")])
+        for seed in range(3):
+            pdb = partition_randomly(db, 0.3, seed=seed)
+            for index in INDICES:
+                counting = SVCEngine(query, pdb, method="counting", index=index)
+                values = counting.all_values()
+                assert counting.backend() == "brute"
+                assert values == SVCEngine(query, pdb, method="brute",
+                                           index=index).all_values()
+                assert any(values.values()), (seed, index)
+            session = _exact(query, pdb, "counting")
+            assert session.report().backend == "brute"
 
     def test_exogenous_fact_raises(self, q_rst, rst_exogenous_pdb):
         engine = SVCEngine(q_rst, rst_exogenous_pdb)
@@ -179,7 +197,7 @@ class TestSVCEngine:
         if not small_pdb.endogenous:
             return
         engine = SVCEngine(q_rst, small_pdb, method="counting")
-        assert engine.max_value() == max_shapley_value(q_rst, small_pdb, "counting")
+        assert engine.max_value() == _exact(q_rst, small_pdb, "counting").max()
 
     def test_efficiency_axiom(self, q_rst, small_pdb):
         engine = SVCEngine(q_rst, small_pdb, method="counting")
@@ -215,19 +233,19 @@ class TestEngineCache:
 
 class TestRewiredCallers:
     def test_rank_threads_counting_method(self, q_rst, small_pdb):
-        by_lineage = rank_facts_by_shapley_value(q_rst, small_pdb, "counting", "lineage")
-        by_brute = rank_facts_by_shapley_value(q_rst, small_pdb, "counting", "brute")
+        by_lineage = _exact(q_rst, small_pdb, "counting").ranking()
+        by_brute = _exact(q_rst, small_pdb, "brute").ranking()
         assert by_lineage == by_brute
 
     def test_shapley_values_of_facts_matches_per_fact(self, q_rst, small_pdb):
-        batch = shapley_values_of_facts(q_rst, small_pdb, "counting")
+        batch = _exact(q_rst, small_pdb, "counting").values()
         for f, value in batch.items():
             assert value == shapley_value_via_fgmc(q_rst, small_pdb, f, "lineage")
 
     def test_null_players_include_irrelevant_facts(self, q_rst, small_pdb):
-        nulls = null_player_facts(small_pdb, q_rst, method="counting")
+        nulls = _exact(q_rst, small_pdb, "counting").null_players()
         assert irrelevant_endogenous_facts(small_pdb, q_rst) <= nulls
-        values = shapley_values_of_facts(q_rst, small_pdb, "counting")
+        values = _exact(q_rst, small_pdb, "counting").values()
         assert nulls == frozenset(f for f, v in values.items() if v == 0)
 
 
@@ -292,16 +310,18 @@ def partitioned_databases(draw, max_endogenous=4, max_exogenous=2):
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_batch_counting_equals_per_fact_brute(pdb):
     batch = SVCEngine(Q_RST, pdb, method="counting").all_values()
+    brute = _exact(Q_RST, pdb, "brute")
     for f in sorted(pdb.endogenous):
-        assert batch[f] == shapley_value_of_fact(Q_RST, pdb, f, "brute")
+        assert batch[f] == brute.of(f).value
 
 
 @given(partitioned_databases())
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_batch_safe_equals_per_fact_counting_on_hierarchical_query(pdb):
     batch = SVCEngine(Q_HIER, pdb, method="safe").all_values()
+    counting = _exact(Q_HIER, pdb, "counting")
     for f in sorted(pdb.endogenous):
-        assert batch[f] == shapley_value_of_fact(Q_HIER, pdb, f, "counting")
+        assert batch[f] == counting.of(f).value
 
 
 @given(partitioned_databases())

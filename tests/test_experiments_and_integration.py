@@ -71,13 +71,14 @@ class TestExperimentDrivers:
 class TestEndToEndScenarios:
     def test_fact_attribution_story(self):
         """The quickstart story: rank the S facts of a bipartite instance for q_RST."""
-        from repro.core import rank_facts_by_shapley_value
+        from repro.api import AttributionSession, EngineConfig
         from repro.data import bipartite_rst_database, partition_by_relation
         from repro.experiments import q_rst
 
         db = bipartite_rst_database(3, 3, 0.5, seed=11)
         pdb = partition_by_relation(db, exogenous_relations=("R", "T"))
-        ranking = rank_facts_by_shapley_value(q_rst(), pdb, method="counting")
+        ranking = AttributionSession(q_rst(), pdb, EngineConfig(
+            method="counting", on_hard="exact")).ranking()
         assert len(ranking) == len(pdb.endogenous)
         total = sum(value for _, value in ranking)
         from repro.core import QueryGame
@@ -100,7 +101,7 @@ class TestEndToEndScenarios:
 
     def test_reachability_story(self):
         """The RPQ story: which edges explain reachability from s to t."""
-        from repro.core import shapley_values_of_facts
+        from repro.api import AttributionSession, EngineConfig
         from repro.data import Database, fact, purely_endogenous
         from repro.queries import rpq
 
@@ -109,7 +110,8 @@ class TestEndToEndScenarios:
             fact("rail", "s", "v"), fact("road", "v", "t"),
         ])
         query = rpq("(road|rail) road", "s", "t")
-        values = shapley_values_of_facts(query, purely_endogenous(db), method="counting")
+        values = AttributionSession(query, purely_endogenous(db), EngineConfig(
+            method="counting", on_hard="exact")).values()
         assert sum(values.values()) == 1
         # The two parallel two-edge routes are symmetric.
         assert values[fact("road", "s", "u")] == values[fact("rail", "s", "v")]
@@ -117,7 +119,7 @@ class TestEndToEndScenarios:
     def test_dichotomy_guides_algorithm_choice(self):
         """classify_svc verdicts line up with which solver succeeds in polynomial style."""
         from repro.analysis import Complexity, classify_svc
-        from repro.core import shapley_value_of_fact
+        from repro.api import AttributionSession, EngineConfig
         from repro.data import bipartite_rst_database, partition_by_relation
         from repro.experiments import q_hierarchical, q_rst
         from repro.probability import UnsafeQueryError
@@ -127,12 +129,14 @@ class TestEndToEndScenarios:
         target = sorted(pdb.endogenous)[0]
 
         assert classify_svc(q_hierarchical()).complexity is Complexity.FP
-        value = shapley_value_of_fact(q_hierarchical(), pdb, target, method="safe")
+        value = AttributionSession(q_hierarchical(), pdb, EngineConfig(
+            method="safe", on_hard="exact")).of(target).value
         assert 0 <= value <= 1
 
         assert classify_svc(q_rst()).complexity is Complexity.SHARP_P_HARD
         try:
-            shapley_value_of_fact(q_rst(), pdb, target, method="safe")
+            AttributionSession(q_rst(), pdb, EngineConfig(
+                method="safe", on_hard="exact")).of(target)
             raised = False
         except UnsafeQueryError:
             raised = True

@@ -181,14 +181,12 @@ class TestSerialFallback:
             pickle.dumps(query)
         pdb = bipartite_attribution_instance(2, 3)
         reference = SVCEngine(Q_RST, pdb, method="brute").all_values()
-        for method, counting_method in (("brute", "auto"), ("counting", "brute")):
-            engine = SVCEngine(query, pdb, method=method,
-                               counting_method=counting_method,
-                               workers=2, parallel_threshold=0)
-            values = engine.all_values()
-            assert engine.workers_used == 1
-            assert {str(f): v for f, v in values.items()} == {
-                str(f): v for f, v in reference.items()}
+        engine = SVCEngine(query, pdb, method="brute", workers=2,
+                           parallel_threshold=0)
+        values = engine.all_values()
+        assert engine.workers_used == 1
+        assert {str(f): v for f, v in values.items()} == {
+            str(f): v for f, v in reference.items()}
 
     def test_lineage_artefact_of_unpicklable_query_still_shards(self):
         """The counting backend ships only the lineage, so an unpicklable

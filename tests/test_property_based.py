@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import AttributionSession, EngineConfig
 from repro.core import QueryGame, shapley_values
 from repro.counting import MonotoneDNF, binomial_row, convolve, fgmc_vector
 from repro.data import PartitionedDatabase, atom, fact, var
@@ -16,6 +17,11 @@ from repro.queries import cq
 X, Y = var("x"), var("y")
 Q_RST = cq(atom("R", X), atom("S", X, Y), atom("T", Y))
 Q_HIER = cq(atom("R", X), atom("S", X, Y))
+
+
+def _exact(query, pdb, method):
+    """A session that never samples (``on_hard="exact"``)."""
+    return AttributionSession(query, pdb, EngineConfig(method=method, on_hard="exact"))
 
 # --------------------------------------------------------------------------
 # Strategies
@@ -178,21 +184,17 @@ def test_shapley_values_bounded_by_one(pdb):
 @given(partitioned_databases(max_endogenous=4, max_exogenous=2))
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_counting_svc_equals_brute_svc(pdb):
-    from repro.core import shapley_value_of_fact
-
+    counting, brute = (_exact(Q_RST, pdb, method) for method in ("counting", "brute"))
     for f in sorted(pdb.endogenous)[:2]:
-        assert shapley_value_of_fact(Q_RST, pdb, f, "counting") == shapley_value_of_fact(
-            Q_RST, pdb, f, "brute")
+        assert counting.of(f).value == brute.of(f).value
 
 
 @given(partitioned_databases(max_endogenous=4, max_exogenous=2))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_safe_pipeline_equals_brute_on_hierarchical_query(pdb):
-    from repro.core import shapley_value_of_fact
-
+    safe, brute = (_exact(Q_HIER, pdb, method) for method in ("safe", "brute"))
     for f in sorted(pdb.endogenous)[:2]:
-        assert shapley_value_of_fact(Q_HIER, pdb, f, "safe") == shapley_value_of_fact(
-            Q_HIER, pdb, f, "brute")
+        assert safe.of(f).value == brute.of(f).value
 
 
 # --------------------------------------------------------------------------

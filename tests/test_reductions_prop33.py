@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import shapley_value_of_fact
+from repro.api import AttributionSession, EngineConfig
 from repro.counting import fgmc_vector, fmc_vector
 from repro.data import purely_endogenous
 from repro.probability import TupleIndependentDatabase, probability_brute_force
@@ -24,9 +24,10 @@ from repro.reductions import (
 class TestSVCviaFGMC:
     def test_matches_brute_force(self, q_rst, small_pdb):
         oracle = exact_fgmc_oracle("lineage")
+        brute = AttributionSession(q_rst, small_pdb,
+                                   EngineConfig(method="brute", on_hard="exact"))
         for f in sorted(small_pdb.endogenous)[:3]:
-            assert svc_via_fgmc(q_rst, small_pdb, f, oracle) == shapley_value_of_fact(
-                q_rst, small_pdb, f, "brute")
+            assert svc_via_fgmc(q_rst, small_pdb, f, oracle) == brute.of(f).value
 
     def test_uses_exactly_two_oracle_calls(self, q_rst, small_pdb):
         counter = CallCounter(exact_fgmc_oracle("lineage"))

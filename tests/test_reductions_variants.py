@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import fgmc_constants_vector, shapley_value_of_fact
+from repro.api import AttributionSession, EngineConfig
+from repro.core import fgmc_constants_vector
 from repro.counting import fgmc_vector, fmc_vector
 from repro.data import (
     Database,
@@ -54,8 +55,10 @@ class TestLemma61:
     def test_svcn_via_fmc_oracle_form(self, q_rst, endogenous_bipartite):
         def oracle(q, d):
             return fmc_vector(q, d, method="lineage")
+        brute = AttributionSession(q_rst, endogenous_bipartite,
+                                   EngineConfig(method="brute", on_hard="exact"))
         for f in sorted(endogenous_bipartite.endogenous)[:3]:
-            direct = shapley_value_of_fact(q_rst, endogenous_bipartite, f, "brute")
+            direct = brute.of(f).value
             assert svcn_via_fmc(q_rst, endogenous_bipartite, f, oracle) == direct
 
     def test_svcn_via_fmc_rejects_exogenous_input(self, q_rst, small_pdb):

@@ -422,16 +422,17 @@ class TestCrashConsistency:
                       {{"payload": list(range(1000))}})
         """)
         env = dict(os.environ, PYTHONPATH="src")
-        process = subprocess.Popen([sys.executable, "-c", script],
-                                   stdout=subprocess.PIPE, cwd=os.getcwd(),
-                                   env=env)
-        try:
-            assert process.stdout.readline().strip() == b"READY"
-            process.kill()                       # SIGKILL: no cleanup handlers
-            process.wait(timeout=30)
-        finally:
-            if process.poll() is None:           # pragma: no cover - safety net
-                process.kill()
+        # The context manager closes the stdout pipe and reaps the child.
+        with subprocess.Popen([sys.executable, "-c", script],
+                              stdout=subprocess.PIPE, cwd=os.getcwd(),
+                              env=env) as process:
+            try:
+                assert process.stdout.readline().strip() == b"READY"
+                process.kill()                   # SIGKILL: no cleanup handlers
+                process.wait(timeout=30)
+            finally:
+                if process.poll() is None:       # pragma: no cover - safety net
+                    process.kill()
         # The kill landed between the tmp write and the atomic replace: the
         # temp file exists, the entry itself was never created.
         assert list(tmp_path.glob("*.tmp"))

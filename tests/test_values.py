@@ -11,9 +11,8 @@ The acceptance contract of the refactor:
   semivalue definitions; responsibility is not a semivalue and says so;
 * **null players** — a fact has value zero under one index iff under all
   (the conditioned pair is flat), so ``null_players()`` is index-independent;
-* **compatibility** — pre-index JSON payloads load as ``index="shapley"``,
-  serve request keys never coalesce across indices, the old
-  ``repro.compile.uniform_probability`` import warns and delegates;
+* **compatibility** — pre-index JSON payloads load as ``index="shapley"``
+  and serve request keys never coalesce across indices;
 * **amortisation** — one compiled circuit, fetched from one shared store,
   serves Shapley, Banzhaf, responsibility, a circuit-backed PQE and a
   what-if batch with zero recompiles.
@@ -33,7 +32,7 @@ from repro.counting import build_lineage, generalized_model_count
 from repro.data import PartitionedDatabase, fact
 from repro.engine import clear_engine_cache
 from repro.errors import ConfigError, IntractableQueryError
-from repro.experiments import q_hierarchical, q_rst
+from repro.experiments import q_hierarchical, q_negation_hard, q_rst
 from repro.experiments.batch_engine import bipartite_attribution_instance
 from repro.probability import (
     TupleIndependentDatabase,
@@ -51,7 +50,7 @@ from repro.values import (
     ValueIndex,
     get_index,
 )
-from repro.workspace import AttributionWorkspace, MemoryStore, circuit_key
+from repro.workspace import AttributionWorkspace, MemoryStore
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +67,14 @@ def _rst_triangle() -> PartitionedDatabase:
                     fact("S", "b", "c")},
         exogenous={fact("R", "a"), fact("R", "b"),
                    fact("T", "b"), fact("T", "c")})
+
+
+def _negation_square() -> PartitionedDatabase:
+    """q_negation_hard players: S facts and one N fact that blocks a support."""
+    return PartitionedDatabase(
+        endogenous={fact("S", "a", "c"), fact("S", "b", "c"),
+                    fact("S", "a", "d"), fact("N", "a", "c"), fact("T", "d")},
+        exogenous={fact("R", "a"), fact("R", "b"), fact("T", "c")})
 
 
 def _values(query, pdb, **config) -> dict:
@@ -202,6 +209,9 @@ class TestIndexParityAcrossBackends:
         ("hierarchical", q_hierarchical,
          lambda: bipartite_attribution_instance(2, 3),
          ("brute", "counting", "circuit", "safe")),
+        # Not hom-closed: an explicit counting request runs the brute table.
+        ("negation-hard", q_negation_hard, _negation_square,
+         ("brute", "counting")),
     ]
 
     @pytest.mark.parametrize("index_name", INDICES)
@@ -314,15 +324,6 @@ class TestUniformProbabilityDedup:
     def test_non_countable_inputs_are_refused(self):
         with pytest.raises(TypeError):
             uniform_probability(object(), Fraction(1, 2))
-
-    def test_old_compile_import_path_warns_and_delegates(self):
-        import repro.compile as compile_mod
-
-        query, pdb = q_rst(), _rst_triangle()
-        compiled = compile_mod.compile_lineage(build_lineage(query, pdb))
-        with pytest.warns(DeprecationWarning, match="repro.probability"):
-            legacy = compile_mod.uniform_probability(compiled, Fraction(1, 2))
-        assert legacy == uniform_probability(compiled, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
