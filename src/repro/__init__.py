@@ -92,7 +92,9 @@ backend     auto picks it when           cost / knobs
             budget (hom-closed only)     counting passes; an explicit
                                          request on a non-hom-closed query
                                          runs ``brute``
- brute      query is not hom-closed      ``2^n`` coalition table; ground truth
+ brute      query is not hom-closed      one ``2^n`` coalition enumeration
+                                         into every fact's pair strata (no
+                                         table); ground truth
  sampled    query is #P-hard/unknown     Monte-Carlo permutation sampling with
             and ``|Dn|`` exceeds         the ``(epsilon, delta)`` Hoeffding
             ``exact_size_limit`` (with   guarantee
@@ -148,8 +150,8 @@ shard        auto picks it when              what a worker holds
                                              identity (faster than serial
                                              even at ``workers=1``)
  fact        one island only, or the         the WHOLE shared artefact; the
-             brute / safe / sampled          per-fact loop is striped across
-             backend                         the pool (PR 3 behaviour)
+             brute / safe / sampled          pair kernel runs on a stripe of
+             backend                         facts (brute: coalition sizes)
 ===========  ==============================  ===============================
 
 On island-rich databases (many small disjoint lineage components — the

@@ -7,7 +7,7 @@ policy, parallelism, sharding and the value index.  Invalid values raise
 fails halfway through a computation because of a typo in a backend name.
 An explicit ``method="counting"`` always conditions the lineage; on a query
 that is not hom-closed (no lineage applies) the engine runs the ``brute``
-coalition table instead, and the report says so.
+coalition enumeration instead, and the report says so.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class EngineConfig:
     #: Verify the efficiency axiom (Σ values = v(Dn)) when building reports.
     check_efficiency: bool = True
     #: Worker processes for the exact engine backends; ``1`` keeps everything
-    #: in-process.  With more workers the per-fact work (counting / safe) or
-    #: the coalition-table fill (brute) shards across a process pool.
+    #: in-process.  With more workers the backend's pair kernel runs on a
+    #: process pool, striped by fact (or, for brute, by coalition size).
     workers: int = 1
     #: Smallest ``|Dn|`` for which a multi-worker engine actually spawns a
     #: pool; below it the serial path always runs (pool startup would dominate).

@@ -1,9 +1,11 @@
 """Batched value computation (the SVC engine subsystem).
 
-One shared lineage / safe plan / coalition table per ``(query, database)``
-pair, all per-fact values — Shapley, Banzhaf or responsibility, per the
-configured :class:`repro.values.ValueIndex` — derived from it by
-conditioning.  See :mod:`repro.engine.svc_engine` for the design notes.
+One shared artefact per ``(query, database)`` pair — compiled circuit,
+lineage or safe plan; brute force enumerates the coalitions once — from which
+one pair kernel per backend (:mod:`repro.engine.backends`) reads every fact's
+conditioned vector pair.  The configured :class:`repro.values.ValueIndex`
+(Shapley, Banzhaf or responsibility) is applied to the pairs once.  See
+:mod:`repro.engine.svc_engine` for the design notes.
 """
 
 from .backends import combine_fgmc_vectors

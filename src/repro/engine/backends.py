@@ -1,19 +1,25 @@
-"""Pure per-fact value functions of the engine backends.
+"""The pair kernels of the engine backends.
 
-These are the computational kernels of :class:`repro.engine.SVCEngine`,
-factored out as module-level functions of the *shared artefact* (lineage, safe
-plan + full FGMC vector, or coalition table) and one fact.  Both the serial
-engine and the process-pool workers of :mod:`repro.engine.parallel` call the
-same functions, so the parallel backend is bitwise-identical to the serial one
-by construction: there is exactly one implementation of each backend's
-arithmetic.
+Claim A.1 (Proposition 3.3) reduces every value to one conditioned FGMC
+vector pair per fact — strata of coalitions satisfying with/without the fact —
+followed by a fixed weighting.  Each exact backend of
+:class:`repro.engine.SVCEngine` is one *pair kernel* here, with the one
+signature ``kernel(artefact, items) -> {fact: (with_vector, without_vector)}``
+over its shared artefact:
 
-Every kernel ends at the same seam: a per-fact *conditioned vector pair*
-(strata of coalitions satisfying with/without the fact) handed to one
-:class:`repro.values.ValueIndex` — Shapley by default, Banzhaf or
-responsibility when the engine is configured with a different index.  The
-artefacts themselves are index-independent; only this final combination step
-varies.
+* ``circuit``  — a :class:`~repro.compile.CompiledLineage`; the items are
+  facts, all priced by one top-down derivative sweep,
+* ``counting`` — a :class:`~repro.counting.lineage.Lineage`; each item fact is
+  priced by conditioning the DNF,
+* ``safe``     — ``(query, plan, pdb, full_vector)``; each item fact costs one
+  plan interpolation, the partition identity gives the other vector,
+* ``brute``    — ``(query, pdb)``; the items are coalition *sizes*, and the
+  kernel returns every fact's pair partials over those strata.
+
+Serial engine and process-pool workers (:mod:`repro.engine.parallel`) run the
+same kernels, so pooled values are bitwise-identical by construction.  The
+kernels are index-agnostic: the engine applies the configured
+:class:`repro.values.ValueIndex` once, to the (summed) pairs.
 
 Everything here is side-effect free and operates on picklable inputs only —
 a requirement for shipping the artefact to worker processes once per pool.
@@ -54,102 +60,64 @@ def combine_fgmc_vectors(with_fact_exogenous: "list[int]", without_fact: "list[i
     return SHAPLEY.combine(with_fact_exogenous, without_fact, n_endogenous)
 
 
-# ---------------------------------------------------------------------------
-# counting backend
-# ---------------------------------------------------------------------------
+def circuit_pairs(compiled: "CompiledLineage", facts: "list[Fact]"
+                  ) -> "dict[Fact, tuple[list[int], list[int]]]":
+    """The pairs of ``facts`` from one derivative sweep of the compiled circuit.
 
-def counting_value_from_lineage(lineage: "Lineage", fact: Fact,
-                                index: ValueIndex = SHAPLEY) -> Fraction:
-    """The index value of one fact by conditioning the shared lineage DNF."""
-    with_vec, without_vec = lineage.conditioned_vectors(fact)
-    return index.combine(with_vec, without_vec, lineage.n_variables)
-
-
-# ---------------------------------------------------------------------------
-# circuit backend
-# ---------------------------------------------------------------------------
-
-def circuit_values_from_compiled(compiled: "CompiledLineage",
-                                 facts: "Sequence[Fact]",
-                                 index: ValueIndex = SHAPLEY
-                                 ) -> "dict[Fact, Fraction]":
-    """Index values of ``facts`` from the shared compiled circuit.
-
-    One top-down derivative sweep prices every requested per-fact conditioned
-    vector pair at once (:meth:`repro.compile.CompiledLineage.conditioned_vector_pairs`);
-    the combination step is then identical to the other backends.  Serial
-    engine and pool workers both run exactly this function — a worker
-    computing one stripe of facts still pays the context sweep only once, and
-    restricts the per-fact accumulation (the ``· n`` factor) to its stripe.
+    A worker pricing one stripe of facts still pays the context sweep once,
+    and restricts the per-fact accumulation (the ``· n`` factor) to its stripe.
     """
-    n = compiled.n_variables
-    pairs = compiled.conditioned_vector_pairs(list(facts))
-    return {fact: index.combine(with_vec, without_vec, n)
-            for fact, (with_vec, without_vec) in pairs.items()}
+    return compiled.conditioned_vector_pairs(facts)
 
 
-# ---------------------------------------------------------------------------
-# safe backend
-# ---------------------------------------------------------------------------
+def counting_pairs(lineage: "Lineage", facts: "Sequence[Fact]"
+                   ) -> "dict[Fact, tuple[list[int], list[int]]]":
+    """The pairs of ``facts``, each by conditioning the shared lineage DNF."""
+    return {fact: lineage.conditioned_vectors(fact) for fact in facts}
 
-def safe_value_from_plan(query: "BooleanQuery", plan: Plan, pdb: PartitionedDatabase,
-                         full_vector: "list[int]", fact: Fact,
-                         index: ValueIndex = SHAPLEY) -> Fraction:
-    """The index value of one fact from the shared safe plan.
 
+def safe_pairs(artefact: "tuple[BooleanQuery, Plan, PartitionedDatabase, list[int]]",
+               facts: "Sequence[Fact]"
+               ) -> "dict[Fact, tuple[list[int], list[int]]]":
+    """The pairs of ``facts`` from the shared safe plan.
+
+    ``artefact`` is ``(query, plan, pdb, full_vector)``, where
     ``full_vector`` is the FGMC vector of the full database, interpolated once
-    per engine; only the "fact removed" vector is interpolated here, the "fact
-    exogenous" vector follows from the partition identity
-    ``full[k] = with[k-1] + without[k]``.
+    per engine; only the "fact removed" vector is interpolated per fact.
     """
+    query, plan, pdb, full_vector = artefact
     n = len(pdb.endogenous)
-    without_pdb = PartitionedDatabase(pdb.endogenous - {fact}, pdb.exogenous)
-    without_vec = fgmc_vector_via_pqe(
-        query, without_pdb, pqe_solver=lambda _q, tid: evaluate_plan(plan, tid))
-    # Partition identity: a size-(j+1) generalized support of (Dn, Dx)
-    # either contains μ (a size-j support of (Dn \ {μ}, Dx ∪ {μ})) or not
-    # (a size-(j+1) support of (Dn \ {μ}, Dx)).
-    with_vec = [full_vector[j + 1] - (without_vec[j + 1] if j + 1 < len(without_vec) else 0)
-                for j in range(n)]
-    return index.combine(with_vec, without_vec, n)
+    pairs = {}
+    for fact in facts:
+        without_pdb = PartitionedDatabase(pdb.endogenous - {fact}, pdb.exogenous)
+        without_vec = fgmc_vector_via_pqe(
+            query, without_pdb, pqe_solver=lambda _q, tid: evaluate_plan(plan, tid))
+        # Partition identity: a size-(j+1) generalized support of (Dn, Dx)
+        # either contains μ (a size-j support of (Dn \ {μ}, Dx ∪ {μ})) or not
+        # (a size-(j+1) support of (Dn \ {μ}, Dx)).
+        with_vec = [full_vector[j + 1] - (without_vec[j + 1] if j + 1 < len(without_vec) else 0)
+                    for j in range(n)]
+        pairs[fact] = (with_vec, without_vec)
+    return pairs
 
 
-# ---------------------------------------------------------------------------
-# brute backend
-# ---------------------------------------------------------------------------
+def brute_pairs(artefact: "tuple[BooleanQuery, PartitionedDatabase]",
+                sizes: "Sequence[int]"
+                ) -> "dict[Fact, tuple[list[int], list[int]]]":
+    """Every fact's pair partials over whole coalition-size strata.
 
-def coalition_values_of_size(query: "BooleanQuery", pdb: PartitionedDatabase,
-                             size: int) -> "dict[frozenset[Fact], int]":
-    """One stratum of the coalition table: every size-``size`` coalition's value.
-
-    The 2^n table fill is sharded across worker processes by coalition size;
-    each worker evaluates the query game on its strata only.
+    ``artefact`` is ``(query, pdb)``.  Rewrites the brute-force enumeration
+    as a sum over *all* coalitions ``T``: a coalition of size ``s`` with game
+    value ``v(T)`` contributes ``v(T)`` to stratum ``s - 1`` of the *with*
+    vector of every fact in ``T`` (there ``T = S ∪ {μ}``) and ``v(T)`` to
+    stratum ``s`` of the *without* vector of every fact outside it (there
+    ``T = S``).  Over all sizes ``0..n`` the partials are the pairs; over a
+    stripe of sizes they sum componentwise with the other stripes' partials,
+    so no ``2^n`` coalition table is ever built.
     """
     from ..core.games import QueryGame
 
-    game = QueryGame(query, pdb)
-    players = sorted(pdb.endogenous)
-    return {frozenset(coalition): game.value(frozenset(coalition))
-            for coalition in itertools.combinations(players, size)}
-
-
-def brute_pair_partials_for_sizes(query: "BooleanQuery", pdb: PartitionedDatabase,
-                                  sizes: "list[int]"
-                                  ) -> "dict[Fact, tuple[list[int], list[int]]]":
-    """Per-fact conditioned-vector-pair partials over whole coalition-size strata.
-
-    Rewrites the brute-force enumeration as a sum over *all* coalitions ``T``:
-    a coalition of size ``s`` with game value ``v(T)`` contributes ``v(T)`` to
-    stratum ``s - 1`` of the *with* vector of every fact in ``T`` (there
-    ``T = S ∪ {μ}``) and ``v(T)`` to stratum ``s`` of the *without* vector of
-    every fact outside it (there ``T = S``).  Each worker evaluates the query
-    game only on its strata and returns integer pair partials, so nothing the
-    size of the ``2^n`` table ever crosses a process boundary and the payload
-    stays **index-agnostic** — the parent sums the strata componentwise and
-    applies the configured :class:`~repro.values.ValueIndex` exactly once.
-    """
-    from ..core.games import QueryGame
-
+    query, pdb = artefact
     game = QueryGame(query, pdb)
     players = sorted(pdb.endogenous)
     n = len(players)
@@ -169,10 +137,34 @@ def brute_pair_partials_for_sizes(query: "BooleanQuery", pdb: PartitionedDatabas
     return partials
 
 
-def brute_pairs_from_table(table: "dict[frozenset[Fact], int]",
-                           pdb: PartitionedDatabase,
-                           fact: Fact) -> "tuple[list[int], list[int]]":
-    """One fact's conditioned vector pair read off the shared coalition table."""
+#: The pair kernel of each exact backend, by name.
+PAIR_KERNELS = {"brute": brute_pairs, "circuit": circuit_pairs,
+                "counting": counting_pairs, "safe": safe_pairs}
+
+
+def coalition_values_of_size(query: "BooleanQuery", pdb: PartitionedDatabase,
+                             size: int) -> "dict[frozenset[Fact], int]":
+    """One stratum of the coalition table: every size-``size`` coalition's value.
+
+    The engine no longer calls this (its brute kernel is :func:`brute_pairs`);
+    it stays for the benchmark's traced replay of the table route.
+    """
+    from ..core.games import QueryGame
+
+    game = QueryGame(query, pdb)
+    players = sorted(pdb.endogenous)
+    return {frozenset(coalition): game.value(frozenset(coalition))
+            for coalition in itertools.combinations(players, size)}
+
+
+def brute_value_from_table(table: "dict[frozenset[Fact], int]",
+                           pdb: PartitionedDatabase, fact: Fact,
+                           index: ValueIndex = SHAPLEY) -> Fraction:
+    """The index value of one fact read off a full coalition table.
+
+    The engine no longer calls this (its brute kernel is :func:`brute_pairs`);
+    it stays for the benchmark's traced replay of the table route.
+    """
     others = sorted(pdb.endogenous - {fact})
     n = len(pdb.endogenous)
     plus = [0] * n
@@ -182,24 +174,16 @@ def brute_pairs_from_table(table: "dict[frozenset[Fact], int]",
             before = frozenset(coalition)
             plus[size] += table[before | {fact}]
             minus[size] += table[before]
-    return plus, minus
-
-
-def brute_value_from_table(table: "dict[frozenset[Fact], int]",
-                           pdb: PartitionedDatabase, fact: Fact,
-                           index: ValueIndex = SHAPLEY) -> Fraction:
-    """The index value of one fact read off the shared coalition table."""
-    plus, minus = brute_pairs_from_table(table, pdb, fact)
-    return index.combine(plus, minus, len(pdb.endogenous))
+    return index.combine(plus, minus, n)
 
 
 __all__ = [
-    "brute_pair_partials_for_sizes",
-    "brute_pairs_from_table",
+    "PAIR_KERNELS",
+    "brute_pairs",
     "brute_value_from_table",
-    "circuit_values_from_compiled",
+    "circuit_pairs",
     "coalition_values_of_size",
     "combine_fgmc_vectors",
-    "counting_value_from_lineage",
-    "safe_value_from_plan",
+    "counting_pairs",
+    "safe_pairs",
 ]

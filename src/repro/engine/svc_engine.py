@@ -22,9 +22,9 @@ per-fact vector pair from **one** shared artefact per ``(query, database)``:
   "fact exogenous" vector follows from the partition identity
   ``full[k] = with[k-1] + without[k]``, halving the lifted-PQE work and
   sharing the plan across all evaluations,
-* ``brute``    — tabulate the ``2^n`` coalition values once and read every
-  Shapley value off the table (one query evaluation per coalition instead of
-  one per coalition *per fact*).
+* ``brute``    — enumerate the ``2^n`` coalitions once, adding each
+  coalition's value to the pair strata of every fact (one query evaluation
+  per coalition instead of one per coalition *per fact*, and no table).
 
 ``method="auto"`` resolves safe → circuit → brute from the query's structure
 alone (:func:`resolve_auto_backend`); the circuit choice degrades to
@@ -35,20 +35,22 @@ independent call sites (ranking, max-SVC, relevance analysis, CLI) reuse the
 same engine and its artefacts; ``auto`` is resolved to its concrete backend
 *before* keying, so an ``auto`` call and an explicit call share one engine.
 
-Every backend ends at the same seam — a per-fact conditioned vector pair —
-combined by a pluggable :class:`repro.values.ValueIndex` (``index=``:
-Shapley by default, Banzhaf or responsibility on request).  The artefacts
-are index-independent: engines for different indices hold distinct LRU
-entries but share plans, lineages and circuits through an attached
+Every backend ends at the same seam — a per-fact conditioned vector pair
+from its pair kernel (:mod:`repro.engine.backends`) — combined by a pluggable
+:class:`repro.values.ValueIndex` (``index=``: Shapley by default, Banzhaf or
+responsibility on request), applied once, in :meth:`SVCEngine._combine`.  The
+artefacts are index-independent: engines for different indices hold distinct
+LRU entries but share plans, lineages and circuits through an attached
 :class:`~repro.workspace.ArtifactStore`.
 
-Because every per-fact value is an independent conditioning of the shared
+Because every per-fact pair is an independent read-off of the shared
 artefact, the whole-database workload shards across worker processes: with
-``workers > 1`` the engine stripes the per-fact work (counting / safe) or the
-coalition-table strata (brute) over a :class:`~concurrent.futures.ProcessPoolExecutor`
-(see :mod:`repro.engine.parallel`), degrading gracefully to the serial path
-when the instance is small, the artefact fails to pickle, or the pool cannot
-be created.
+``workers > 1`` the engine runs the pair kernel on stripes of facts (circuit,
+counting, safe) or of coalition sizes (brute) over a
+:class:`~concurrent.futures.ProcessPoolExecutor` (see
+:mod:`repro.engine.parallel`), degrading gracefully to the serial kernel when
+the instance is small, the artefact fails to pickle, or the pool cannot be
+created.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import threading
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, get_args
 
 from ..compile import (
     DEFAULT_NODE_BUDGET,
@@ -84,13 +86,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Default smallest ``|Dn|`` for which a multi-worker engine actually spawns a
 #: pool: below it, per-process startup dominates any conceivable speedup
-#: (a 2^11 coalition table fills in well under pool-startup time, and the
+#: (2^11 coalitions enumerate in well under pool-startup time, and the
 #: counting backend's per-fact conditionings are sub-millisecond at that size).
 DEFAULT_PARALLEL_THRESHOLD = 12
 
 #: Backend names; ``auto`` resolves to the first applicable of
 #: safe/circuit/brute (circuit degrading to counting on budget overrun).
 EngineBackend = Literal["auto", "brute", "circuit", "counting", "safe"]
+_BACKENDS = get_args(EngineBackend)
 
 #: Sharding policies for the exact backends.  ``"fact"`` stripes per-fact
 #: work over the whole shared artefact (the PR 3 axis); ``"component"``
@@ -148,18 +151,21 @@ class SVCEngine:
     """Batched Shapley value computation for one ``(query, database)`` pair.
 
     The engine resolves its backend lazily (so constructing one is free) and
-    caches every shared artefact — lineage, safe plan, full FGMC vector,
-    coalition-value table — as well as each per-fact value.  ``value_of``
-    computes a single fact's value from the shared artefacts; ``all_values``
-    is therefore ``O(lineage + n · conditioning)`` instead of the per-fact
-    loop's ``O(n · lineage)``.
+    caches every shared artefact — lineage, compiled circuit, safe plan, full
+    FGMC vector — as well as each per-fact value.  Every value takes one
+    path: :meth:`_pairs` yields the facts' conditioned vector pairs (the
+    backend's pair kernel, or the island recombination on the component
+    axis) and :meth:`_combine` applies the configured index to them.
+    ``all_values`` is therefore ``O(lineage + n · conditioning)`` instead of
+    the per-fact loop's ``O(n · lineage)``.
 
-    With ``workers > 1`` and ``|Dn| >= parallel_threshold``, :meth:`all_values`
-    shards the per-fact derivative accumulation (circuit), the per-fact
-    conditioning loop (counting), the per-fact plan interpolations (safe), or
-    the coalition-table fill (brute) across a process pool; the merged results land in the same ``_values`` memo, so
-    ``value_of`` / ``ranking`` / ``max_value`` are oblivious to how the values
-    were computed.  :attr:`workers_used` records what actually ran.
+    With ``workers > 1`` and at least ``parallel_threshold`` pending facts,
+    :meth:`all_values` runs the pair kernel on a process pool — striped by
+    fact (circuit, counting, safe) or by coalition size (brute) — and sums
+    the workers' integer pair partials; the values land in the same
+    ``_values`` memo, so ``value_of`` / ``ranking`` / ``max_value`` are
+    oblivious to how they were computed.  :attr:`workers_used` records what
+    actually ran.
     """
 
     def __init__(self, query: BooleanQuery, pdb: PartitionedDatabase,
@@ -170,6 +176,9 @@ class SVCEngine:
                  store: "ArtifactStore | None" = None,
                  shard: ShardPolicy = "auto",
                  index: "str | ValueIndex" = "shapley"):
+        if method not in _BACKENDS:
+            raise ValueError(
+                f"method must be one of {_BACKENDS}, got {method!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if parallel_threshold < 0:
@@ -198,7 +207,6 @@ class SVCEngine:
         self._circuit_fallback: "str | None" = None
         self._pool_fallback: "str | None" = None
         self._full_vector: "list[int] | None" = None
-        self._value_table: "dict[frozenset[Fact], int] | None" = None
         self._values: dict[Fact, Fraction] = {}
         self._workers_used: int = 1
         self._decomposition_memo: "sharding.LineageDecomposition | None" = None
@@ -213,7 +221,7 @@ class SVCEngine:
 
     def _resolve_backend(self) -> str:
         if self.method == "counting" and not self.query.is_hom_closed:
-            # No lineage to condition.  The coalition table's pairs differ
+            # No lineage to condition.  The brute kernel's pairs differ
             # from the FGMC pairs only by the q(Dx) offset, which cancels in
             # with[j] - without[j], all that any index reads.
             return "brute"
@@ -312,40 +320,6 @@ class SVCEngine:
             self._full_vector = self._fgmc_via_plan(self.pdb)
         return self._full_vector
 
-    def _coalition_table(self) -> dict[frozenset[Fact], int]:
-        if self._value_table is None:
-            table: dict[frozenset[Fact], int] = {}
-            for size in range(len(self.pdb.endogenous) + 1):
-                table.update(backends.coalition_values_of_size(self.query, self.pdb, size))
-            self._value_table = table
-        return self._value_table
-
-    # -- per-backend value computations ------------------------------------------
-    def _value_counting(self, fact: Fact) -> Fraction:
-        return backends.counting_value_from_lineage(self.lineage(), fact,
-                                                    self._index)
-
-    def _value_safe(self, fact: Fact) -> Fraction:
-        return backends.safe_value_from_plan(self.query, self._ensure_plan(),
-                                             self.pdb, self._full_fgmc(), fact,
-                                             self._index)
-
-    def _value_circuit(self, fact: Fact) -> Fraction:
-        """Every pending value from one derivative sweep (then read one off).
-
-        The top-down sweep prices all per-fact conditioned vector pairs at
-        once, so the first request fills the memo for every pending fact —
-        asking for a single value costs the same sweep as asking for all.
-        """
-        pending = [f for f in sorted(self.pdb.endogenous) if f not in self._values]
-        self._values.update(backends.circuit_values_from_compiled(
-            self._ensure_compiled(), pending, self._index))
-        return self._values[fact]
-
-    def _value_brute(self, fact: Fact) -> Fraction:
-        return backends.brute_value_from_table(self._coalition_table(),
-                                               self.pdb, fact, self._index)
-
     # -- component shard axis -----------------------------------------------------
     def _decomposition(self) -> "sharding.LineageDecomposition":
         """The lineage's island decomposition (the cheap sharding pre-pass)."""
@@ -357,7 +331,7 @@ class SVCEngine:
         """Whether the component shard axis applies to the given backend.
 
         Only the lineage-based exact backends decompose (safe plans and the
-        coalition table have no island structure to exploit); an explicit
+        coalition enumeration have no island structure to exploit); an explicit
         ``shard="component"`` request on the other backends degrades
         gracefully to the fact axis, mirroring how the circuit backend
         degrades to counting on a blown budget.  ``shard="auto"`` takes the
@@ -400,23 +374,59 @@ class SVCEngine:
         self._component_results_memo = solved.results
         return self._component_results_memo
 
-    def _value_sharded(self, fact: Fact) -> Fraction:
-        """Every pending value from the solved islands (then read one off).
+    # -- the pairs path -----------------------------------------------------------
+    def _pairs(self, facts: "list[Fact]", workers: int = 1
+               ) -> "dict[Fact, tuple[list[int], list[int]]]":
+        """The conditioned vector pairs of ``facts``, or of every pending fact.
 
-        Like the circuit sweep, the island recombination prices all per-fact
-        conditioned pairs at once, so the first request fills the memo for
-        every pending fact.
+        Counting and safe price each fact on its own, so only ``facts`` are
+        priced.  The circuit sweep, the island recombination and the brute
+        enumeration price every fact in one pass, so they return the pair of
+        every pending fact — one value costs the same as all.  The component
+        axis recombines the solved islands; every other route runs the
+        backend's pair kernel (:data:`backends.PAIR_KERNELS`), on a process
+        pool when ``workers > 1`` — falling back to the serial kernel, with an
+        audit line, when the pool is unavailable or fails.
         """
-        pending = [f for f in sorted(self.pdb.endogenous)
-                   if f not in self._values]
-        pairs = sharding.combine_component_pairs(self._decomposition(),
-                                                 self._component_results())
-        lineage = self.lineage()
-        n = lineage.n_variables
-        self._values.update(
-            {f: self._index.combine(*pairs[lineage.index_of(f)], n)
-             for f in pending})
-        return self._values[fact]
+        backend = self.backend()
+        component = self._component_axis_for(backend)
+        if component or backend not in ("counting", "safe"):
+            facts = [f for f in sorted(self.pdb.endogenous) if f not in self._values]
+        if component:
+            pairs = sharding.combine_component_pairs(self._decomposition(),
+                                                     self._component_results())
+            lineage = self.lineage()
+            return {f: pairs[lineage.index_of(f)] for f in facts}
+        # The artefact is built here, in the parent, so resolution errors
+        # raise here rather than inside a pool worker.
+        items = facts
+        if backend == "circuit":
+            artefact = self._ensure_compiled()
+        elif backend == "counting":
+            artefact = self.lineage()
+        elif backend == "safe":
+            artefact = (self.query, self._ensure_plan(), self.pdb, self._full_fgmc())
+        else:  # brute stripes coalition sizes, not facts
+            artefact = (self.query, self.pdb)
+            items = list(range(len(self.pdb.endogenous) + 1))
+        if workers > 1:
+            pairs = parallel.parallel_pairs(backend, artefact, items, workers)
+            if pairs is not None:
+                self._workers_used = min(workers, len(items))
+                return pairs
+            self._pool_fallback = (
+                "pool→serial: the process pool was unavailable or failed; "
+                "per-fact work computed serially")
+        return backends.PAIR_KERNELS[backend](artefact, items)
+
+    def _combine(self, pairs: "dict[Fact, tuple[list[int], list[int]]]") -> None:
+        """Memoise the configured index's value of each fact from its pair.
+
+        The only place the index is applied: every route above yields pairs.
+        """
+        n = len(self.pdb.endogenous)
+        for f, (with_vec, without_vec) in pairs.items():
+            self._values[f] = self._index.combine(with_vec, without_vec, n)
 
     # -- parallel execution -------------------------------------------------------
     @property
@@ -431,102 +441,33 @@ class SVCEngine:
         """
         return self._workers_used
 
-    def _parallel_artefact(self) -> "tuple[str, object] | None":
-        """The ``(kind, payload)`` pair shipped to the pool initializer.
-
-        Resolves the backend (and forces the shared artefact to exist) exactly
-        as the serial path would, so any resolution error raises here, in the
-        parent, rather than inside a worker.
-        """
-        backend = self.backend()
-        if backend == "circuit":
-            return ("circuit", self._ensure_compiled())
-        if backend == "counting":
-            return ("counting", self.lineage())
-        if backend == "safe":
-            return ("safe", (self.query, self._ensure_plan(), self.pdb,
-                             self._full_fgmc()))
-        return ("brute", (self.query, self.pdb))
-
-    def _compute_parallel(self, facts: "list[Fact]") -> bool:
-        """Try to compute the pending facts on a process pool.
-
-        Returns ``True`` when the pool produced results (now merged into the
-        ``_values`` memo or the coalition table); ``False`` signals the caller
-        to run the serial path instead.
-        """
-        artefact = self._parallel_artefact()
-        n = len(self.pdb.endogenous)
-        if artefact[0] == "brute":
-            if self._value_table is not None:
-                # A serial value_of already paid for the full table; reading
-                # the remaining facts off it beats re-evaluating 2^n coalitions.
-                return False
-            values = parallel.parallel_brute_values(artefact, n, self.workers,
-                                                    self._index)
-            used = min(self.workers, n + 1)  # one stripe per coalition size
-        else:
-            if len(facts) < self.parallel_threshold:
-                # Most values are already memoised: the leftover per-fact work
-                # is too small to amortise a pool (the brute case differs —
-                # its 2^n fill is all-or-nothing, so |Dn| is the right gate).
-                return False
-            values = parallel.parallel_fact_values(artefact, facts, self.workers,
-                                                   self.index)
-            used = min(self.workers, len(facts))
-        if values is None:
-            self._pool_fallback = (
-                "pool→serial: the process pool was unavailable or failed; "
-                "per-fact work computed serially")
-            return False
-        self._values.update(values)
-        self._workers_used = used
-        return True
-
     # -- public API ---------------------------------------------------------------
     def value_of(self, fact: Fact) -> Fraction:
         """The configured index's value of one endogenous fact, from the shared artefacts."""
         if fact not in self.pdb.endogenous:
             raise ValueError(f"{fact} is not an endogenous fact of the database")
         if fact not in self._values:
-            backend = self.backend()
-            if self._component_axis_for(backend):
-                value = self._value_sharded(fact)
-            elif backend == "safe":
-                value = self._value_safe(fact)
-            elif backend == "circuit":
-                value = self._value_circuit(fact)
-            elif backend == "counting":
-                value = self._value_counting(fact)
-            else:
-                value = self._value_brute(fact)
-            self._values[fact] = value
-            if (self._value_table is not None
-                    and len(self._values) == len(self.pdb.endogenous)):
-                # Every value is memoised; the 2^n coalition table would
-                # otherwise stay pinned by the engine LRU for the process
-                # lifetime.
-                self._value_table = None
+            self._combine(self._pairs([fact]))
         return self._values[fact]
 
     def all_values(self) -> dict[Fact, Fraction]:
-        """The Shapley value of every endogenous fact (the batched workload).
+        """The configured index's value of every endogenous fact (the batched workload).
 
-        With ``workers > 1`` and at least ``parallel_threshold`` endogenous
-        facts, the pending per-fact work is sharded across a process pool
-        first (falling back to the serial loop when the artefact will not
-        pickle or no pool can be created); results are merged into the same
-        memo ``value_of`` reads from.
+        With ``workers > 1`` and at least ``parallel_threshold`` pending facts
+        (so ``|Dn|`` reaches it too), the fact axis runs its pair kernel on a
+        process pool (falling back to the serial kernel when the artefact
+        will not pickle or no pool can be created); the component axis
+        parallelises inside its island solving instead.  Results land in the
+        same memo ``value_of`` reads from.
         """
         facts = sorted(self.pdb.endogenous)
         pending = [f for f in facts if f not in self._values]
-        if (pending and self.workers > 1
-                and len(self.pdb.endogenous) >= self.parallel_threshold
-                and not self._component_axis_for(self.backend())):
-            # The component axis parallelises inside _component_results
-            # (one task per island), not by fact striping.
-            self._compute_parallel(pending)
-        return {fact: self.value_of(fact) for fact in facts}
+        if pending:
+            pooled = (self.workers > 1
+                      and len(pending) >= self.parallel_threshold
+                      and not self._component_axis_for(self.backend()))
+            self._combine(self._pairs(pending, self.workers if pooled else 1))
+        return {fact: self._values[fact] for fact in facts}
 
     def lineage_size(self) -> "int | None":
         """Number of clauses of the lineage DNF, or ``None`` if no lineage was built.

@@ -30,12 +30,14 @@ Shapley and Banzhaf are *semivalues*: they also admit a per-coalition-size
 weight ``w(s, n)`` (:meth:`ValueIndex.subset_weight`) against which the
 property tests cross-check the pair combination.  Responsibility is not a
 semivalue — which is why every backend, brute included, goes through the
-pair form (:func:`repro.engine.backends.brute_pairs_from_table`).
+pair form (the pair kernels of :mod:`repro.engine.backends`, brute's being
+:func:`~repro.engine.backends.brute_pairs`).
 
 The sharding and parallel layers stay index-agnostic by construction: they
-move *pairs* (or integer pair partials) across process and island boundaries
-and apply the index exactly once, at the end — which is also why every index
-is exact on every backend, bitwise-identically.
+move *pairs* (or integer pair partials) across process and island boundaries,
+and the engine applies the index exactly once, at the end
+(``SVCEngine._combine``) — which is also why every index is exact on every
+backend, bitwise-identically.
 """
 
 from __future__ import annotations

@@ -763,9 +763,11 @@ class AttributionWorkspace:
                     for op, f, _ in ops:
                         restricted = restricted.restricted(
                             f, op == "make_exogenous")
-                    values = {f: backends.counting_value_from_lineage(
-                                  restricted, f, value_index)
-                              for f in restricted.variables}
+                    n_rem = restricted.n_variables
+                    values = {f: value_index.combine(with_vec, without_vec, n_rem)
+                              for f, (with_vec, without_vec)
+                              in backends.counting_pairs(
+                                  restricted, restricted.variables).items()}
                     prob = lineage.probability(weights)
                     satisfiable = restricted.evaluate(
                         frozenset(restricted.variables))

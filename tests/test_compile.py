@@ -35,7 +35,7 @@ from repro.engine import (
     engine_cache_stats,
     get_engine,
 )
-from repro.engine.backends import circuit_values_from_compiled
+from repro.engine.backends import circuit_pairs
 from repro.experiments import full_catalog
 from repro.linalg import shapley_subset_weight
 from repro.queries import cq
@@ -284,7 +284,9 @@ class TestCircuitBackend:
         facts = sorted(rst_exogenous_pdb.endogenous)
         merged: dict = {}
         for stripe in (facts[0::2], facts[1::2]):  # two worker stripes
-            merged.update(circuit_values_from_compiled(compiled, stripe))
+            merged.update({f: combine_fgmc_vectors(with_vec, without_vec, len(facts))
+                           for f, (with_vec, without_vec)
+                           in circuit_pairs(compiled, stripe).items()})
         assert merged == serial
 
 

@@ -151,8 +151,7 @@ class TestSerialFallback:
         def boom(*_args, **_kwargs):  # pragma: no cover - must not run
             raise AssertionError("workers=1 must stay on the serial path")
 
-        monkeypatch.setattr(parallel, "parallel_fact_values", boom)
-        monkeypatch.setattr(parallel, "parallel_brute_values", boom)
+        monkeypatch.setattr(parallel, "parallel_pairs", boom)
         pdb = bipartite_attribution_instance(2, 3)
         engine = SVCEngine(Q_RST, pdb, workers=1, parallel_threshold=0)
         assert engine.all_values()
@@ -164,7 +163,7 @@ class TestSerialFallback:
         def boom(*_args, **_kwargs):  # pragma: no cover - must not run
             raise AssertionError("below parallel_threshold the pool must not spawn")
 
-        monkeypatch.setattr(parallel, "parallel_fact_values", boom)
+        monkeypatch.setattr(parallel, "parallel_pairs", boom)
         pdb = bipartite_attribution_instance(2, 3)
         engine = SVCEngine(Q_RST, pdb, workers=4, parallel_threshold=10_000)
         assert engine.all_values() == SVCEngine(Q_RST, pdb).all_values()
@@ -213,7 +212,7 @@ class TestSerialFallback:
         def boom(*_args, **_kwargs):  # pragma: no cover - must not run
             raise AssertionError("leftover work below threshold must stay serial")
 
-        monkeypatch.setattr(parallel, "parallel_fact_values", boom)
+        monkeypatch.setattr(parallel, "parallel_pairs", boom)
         pdb = bipartite_attribution_instance(2, 4)  # |Dn| = 8
         engine = SVCEngine(Q_RST, pdb, method="counting", workers=4,
                            parallel_threshold=8, shard="fact")
@@ -227,7 +226,7 @@ class TestSerialFallback:
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         from repro.engine import parallel
 
-        monkeypatch.setattr(parallel, "parallel_fact_values",
+        monkeypatch.setattr(parallel, "parallel_pairs",
                             lambda *args, **kwargs: None)
         pdb = bipartite_attribution_instance(2, 3)
         engine = SVCEngine(Q_RST, pdb, workers=2, parallel_threshold=0,
@@ -247,6 +246,11 @@ class TestKnobs:
             SVCEngine(Q_RST, pdb, workers=0)
         with pytest.raises(ValueError):
             SVCEngine(Q_RST, pdb, parallel_threshold=-1)
+        for method in ("circut", "nope", "sampled"):
+            with pytest.raises(ValueError, match="method must be one of"):
+                SVCEngine(Q_RST, pdb, method=method)
+        with pytest.raises(ValueError, match="method must be one of"):
+            get_engine(Q_RST, pdb, "circut")
 
     def test_engine_config_validates_workers(self):
         with pytest.raises(ConfigError):

@@ -138,19 +138,23 @@ class TestSemivalueDefinitions:
                 weight = index.subset_weight(size, n)
                 for subset in itertools.combinations(others, size):
                     base = frozenset(subset) | pdb.exogenous
-                    swing = (query.evaluate(base | {mu})
-                             and not query.evaluate(base))
-                    if swing:
-                        total += weight
+                    # Signed: on a non-monotone query adding μ can falsify.
+                    swing = (int(query.evaluate(base | {mu}))
+                             - int(query.evaluate(base)))
+                    total += weight * swing
             reference[mu] = total
         return reference
 
     @pytest.mark.parametrize("index_name", ["shapley", "banzhaf"])
     def test_pair_combination_matches_the_per_coalition_sum(self, index_name):
-        query, pdb = q_rst(), _rst_triangle()
         index = get_index(index_name)
-        expected = self._semivalue_reference(query, pdb, index)
-        assert _values(query, pdb, method="brute", index=index_name) == expected
+        # The CQ¬ input keeps the brute kernel checked against a reference
+        # outside the engine: serial and pooled brute share one kernel.
+        for query, pdb in ((q_rst(), _rst_triangle()),
+                           (q_negation_hard(), _negation_square())):
+            expected = self._semivalue_reference(query, pdb, index)
+            assert _values(query, pdb, method="brute", index=index_name) == expected
+        assert min(expected.values()) < 0  # the negated N fact hurts
 
     def test_shapley_index_is_bitwise_identical_to_the_legacy_combiner(self):
         from repro.engine.backends import combine_fgmc_vectors
@@ -382,11 +386,11 @@ class TestCircuitBackedPQE:
 
 
 class TestWhatIf:
-    def _workspace(self, store=None):
+    def _workspace(self, store=None, **config):
         pdb = _rst_triangle()
         ws = AttributionWorkspace(
             pdb, config=EngineConfig(method="circuit", shard="fact",
-                                     on_hard="exact"),
+                                     on_hard="exact", **config),
             store=store if store is not None else MemoryStore())
         ws.register("standing", q_rst())
         ws.refresh()
@@ -427,15 +431,19 @@ class TestWhatIf:
 
     @pytest.mark.parametrize("index_name", INDICES)
     def test_index_override_applies_to_every_scenario(self, index_name):
-        ws, pdb = self._workspace()
-        batch = ws.what_if(["-S(a, b)"], index=index_name)
-        assert batch.index == index_name
-        assert batch[0].index == index_name
-        hypothetical = PartitionedDatabase(
-            pdb.endogenous - {fact("S", "a", "b")}, pdb.exogenous)
-        assert batch[0].values == AttributionSession(
-            q_rst(), hypothetical,
-            EngineConfig(on_hard="exact", index=index_name)).values()
+        # A one-node budget leaves no standing circuit: the scenarios then
+        # condition the standing lineage instead.
+        for config in ({}, {"circuit_node_budget": 1}):
+            ws, pdb = self._workspace(**config)
+            batch = ws.what_if(["-S(a, b)"], index=index_name)
+            assert batch.recompiled == ()
+            assert batch.index == index_name
+            assert batch[0].index == index_name
+            hypothetical = PartitionedDatabase(
+                pdb.endogenous - {fact("S", "a", "b")}, pdb.exogenous)
+            assert batch[0].values == AttributionSession(
+                q_rst(), hypothetical,
+                EngineConfig(on_hard="exact", index=index_name)).values()
 
     def test_the_snapshot_is_never_modified(self):
         ws, pdb = self._workspace()
