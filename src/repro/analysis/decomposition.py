@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
-
 from ..data.incidence import atom_components
 from ..queries.base import BooleanQuery, ConjunctionQuery
 from ..queries.cq import ConjunctiveQuery
@@ -48,6 +46,8 @@ def connected_components_by_relation(query: "ConjunctiveQuery | UnionOfConjuncti
     evaluated independently, which is the basis of the disjoint-vocabulary
     decomposition of Lemma 4.5.
     """
+    import networkx as nx
+
     ucq_view = as_ucq(query)
     graph: nx.Graph = nx.Graph()
     for disjunct in ucq_view.disjuncts:
@@ -106,6 +106,8 @@ def is_cc_disjoint_crpq(query: ConjunctiveRegularPathQuery) -> bool:
 
 def _crpq_components(query: ConjunctiveRegularPathQuery) -> list[list]:
     """Connected components of a CRPQ's path atoms (sharing variables or constants)."""
+    import networkx as nx
+
     graph: nx.Graph = nx.Graph()
     for index, atom in enumerate(query.path_atoms):
         graph.add_node(("atom", index))

@@ -23,9 +23,20 @@ def _term_key(term: Term) -> tuple[int, str]:
 
 
 class Atom:
-    """A relational atom ``relation(terms...)`` over constants and variables."""
+    """A relational atom ``relation(terms...)`` over constants and variables.
 
-    __slots__ = ("relation", "terms", "_sort_key")
+    The hash is memoised: ``__init__`` stores ``hash((relation, terms))`` in a
+    slot, because facts are hashed on every set union, difference and
+    membership test, and hashing the terms afresh calls each constant's
+    dataclass ``__hash__``.  String hashes are salted per process
+    (``PYTHONHASHSEED``), so the memo is only valid in the process that
+    computed it; ``__reduce__`` therefore rebuilds the atom through the
+    constructor, and an atom unpickled in a pool worker re-hashes under that
+    worker's seed.  Pickling the slot instead would leave every unpickled fact
+    unfindable in the receiving process's sets and dicts.
+    """
+
+    __slots__ = ("relation", "terms", "_hash", "_sort_key")
 
     def __init__(self, relation: str, terms: Iterable[Term]):
         if not relation:
@@ -38,6 +49,7 @@ class Atom:
                 raise TypeError(f"atom terms must be Constant or Variable, got {t!r}")
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", hash((relation, terms)))
 
     # -- immutability -----------------------------------------------------
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -46,7 +58,9 @@ class Atom:
     def __reduce__(self) -> tuple:
         # Slots + the __setattr__ guard defeat pickle's default state
         # restoration; rebuilding through the constructor keeps atoms (and
-        # facts) picklable, which the process-pool engine backend relies on.
+        # facts) picklable, which the process-pool engine backend relies on,
+        # and recomputes the memoised hash under the receiving process's
+        # hash seed (see the class docstring).
         return (type(self), (self.relation, self.terms))
 
     # -- value semantics ---------------------------------------------------
@@ -66,7 +80,7 @@ class Atom:
         return self.relation == other.relation and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.relation, self.terms))
+        return self._hash
 
     def __lt__(self, other: "Atom") -> bool:
         if not isinstance(other, Atom):

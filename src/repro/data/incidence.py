@@ -8,12 +8,13 @@ the constant nodes.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from .atoms import Atom
 from .terms import Constant, is_constant
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def incidence_graph(atoms: Iterable[Atom],
@@ -26,6 +27,8 @@ def incidence_graph(atoms: Iterable[Atom],
     (and their incident edges) are omitted — removing *all* constants yields the
     graph used to define variable-connectivity.
     """
+    import networkx as nx
+
     graph: nx.Graph = nx.Graph()
     excluded = exclude_constants if exclude_constants is not None else frozenset()
     for index, atom in enumerate(atoms):
@@ -53,6 +56,8 @@ def is_connected_atom_set(atoms: Iterable[Atom],
     atom_nodes = [n for n in graph.nodes if n[0] == "atom"]
     if len(atom_nodes) <= 1:
         return True
+    import networkx as nx
+
     components = list(nx.connected_components(graph))
     for component in components:
         if any(n[0] == "atom" for n in component):
@@ -73,6 +78,8 @@ def atom_components(atoms: Iterable[Atom],
     atoms = list(atoms)
     if not atoms:
         return []
+    import networkx as nx
+
     graph = incidence_graph(atoms, exclude_constants)
     components: list[list[Atom]] = []
     for component in nx.connected_components(graph):

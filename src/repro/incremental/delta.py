@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from ..data.atoms import Fact
 from ..data.terms import is_constant
 from ..queries.base import BooleanQuery, minimize_supports
-from ..queries.cq import ConjunctiveQuery
+from ..queries.cq import ConjunctiveQuery, JoinIndex
 from ..queries.ucq import UnionOfConjunctiveQueries
 
 #: The delta operations a snapshot admits (the workspace's method names).
@@ -107,20 +107,21 @@ def _pinned_partial(atom, fact: Fact) -> "dict | None":
     return partial
 
 
-def _cq_supports_through(query: ConjunctiveQuery, facts: "frozenset[Fact]",
+def _cq_supports_through(query: ConjunctiveQuery, index: JoinIndex,
                          fact: Fact) -> "set[frozenset[Fact]]":
     """All homomorphism images through ``fact`` — pinned searches, one per atom.
 
     Every support of a CQ through μ is the image of a homomorphism mapping
     some atom onto μ, so the union of the per-atom pinned enumerations is
     complete; distinct atoms unifying with μ just re-find the same images.
+    Every search reads the one ``index`` of the post-delta facts.
     """
     images: set[frozenset[Fact]] = set()
     for atom in query.atoms:
         partial = _pinned_partial(atom, fact)
         if partial is None:
             continue
-        for hom in query.homomorphisms(facts, partial=partial):
+        for hom in query.homomorphisms(index, partial=partial):
             image = query.image(hom)
             if fact in image:
                 images.add(image)
@@ -139,12 +140,12 @@ def supports_through(query: BooleanQuery, facts: "frozenset[Fact]",
     """
     if fact not in facts:
         return frozenset()
-    if isinstance(query, ConjunctiveQuery):
-        return minimize_supports(_cq_supports_through(query, facts, fact))
-    if isinstance(query, UnionOfConjunctiveQueries):
+    if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
+        disjuncts = (query,) if isinstance(query, ConjunctiveQuery) else query.disjuncts
+        index = JoinIndex(facts)
         images: set[frozenset[Fact]] = set()
-        for disjunct in query.disjuncts:
-            images |= _cq_supports_through(disjunct, facts, fact)
+        for disjunct in disjuncts:
+            images |= _cq_supports_through(disjunct, index, fact)
         return minimize_supports(images)
     return frozenset(s for s in query.minimal_supports_in(facts) if fact in s)
 

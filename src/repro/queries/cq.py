@@ -9,8 +9,9 @@ are fixed) sending every atom to a fact of ``D``.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..data.atoms import Atom, Fact, atoms_constants, atoms_variables
 from ..data.database import Database, PartitionedDatabase
@@ -61,7 +62,7 @@ class ConjunctiveQuery(BooleanQuery):
                                 name=self.name)
 
     # -- homomorphisms ----------------------------------------------------------
-    def homomorphisms(self, db: "Database | PartitionedDatabase | Iterable[Fact]",
+    def homomorphisms(self, db: "Database | PartitionedDatabase | Iterable[Fact] | JoinIndex",
                       partial: "Mapping[Term, Constant] | None" = None,
                       ) -> Iterator[dict[Term, Constant]]:
         """Enumerate C-homomorphisms from the query's atoms into the database.
@@ -70,60 +71,28 @@ class ConjunctiveQuery(BooleanQuery):
         constants; query constants are always mapped to themselves.  An optional
         ``partial`` assignment restricts the search (used when substituting a
         separator variable, or when checking relevance of a fact).
-        """
-        facts = as_fact_set(db)
-        by_relation: dict[str, list[Fact]] = {}
-        for f in facts:
-            by_relation.setdefault(f.relation, []).append(f)
-        for rel in by_relation:
-            by_relation[rel].sort()
 
-        assignment: dict[Term, Constant] = {c: c for c in self.constants()}
+        The search is a join over a plan memoised per (query atoms, terms
+        bound before the search): the greedy order that puts the atom with
+        the fewest unbound variables first (ties broken by ``str(atom)``),
+        and for each step the first argument position already bound.  Each
+        call buckets the facts once by ``(relation, arity)`` in a
+        :class:`JoinIndex`; a step with a bound position reads only the facts
+        carrying the bound constant there, from a map built on first use.
+        Pass a :class:`JoinIndex` as ``db`` to reuse one across searches over
+        the same facts.  The *set* of homomorphisms yielded is exact; the
+        order in which they are yielded is unspecified.
+        """
+        plan_constants, steps = _join_plan(
+            self.atoms, frozenset(partial) if partial else frozenset())
+        assignment: dict[Term, Constant] = {c: c for c in plan_constants}
         if partial:
             for term, value in partial.items():
                 if is_constant(term) and term != value:
                     return
                 assignment[term] = value
-
-        # Order atoms to bind variables early: repeatedly pick the atom with the
-        # fewest unbound variables (a simple greedy join order).
-        remaining = list(self.atoms)
-        ordered: list[Atom] = []
-        bound: set[Term] = set(assignment)
-        while remaining:
-            remaining.sort(key=lambda a: (len([v for v in a.variables() if v not in bound]),
-                                          str(a)))
-            chosen = remaining.pop(0)
-            ordered.append(chosen)
-            bound.update(chosen.variables())
-
-        yield from self._extend(ordered, 0, assignment, by_relation)
-
-    def _extend(self, ordered: Sequence[Atom], index: int,
-                assignment: dict[Term, Constant],
-                by_relation: dict[str, list[Fact]]) -> Iterator[dict[Term, Constant]]:
-        if index == len(ordered):
-            yield dict(assignment)
-            return
-        atom = ordered[index]
-        candidates = by_relation.get(atom.relation, [])
-        for factual in candidates:
-            if factual.arity != atom.arity:
-                continue
-            added: list[Term] = []
-            ok = True
-            for term, value in zip(atom.terms, factual.terms):
-                current = assignment.get(term)
-                if current is None:
-                    assignment[term] = value
-                    added.append(term)
-                elif current != value:
-                    ok = False
-                    break
-            if ok:
-                yield from self._extend(ordered, index + 1, assignment, by_relation)
-            for term in added:
-                del assignment[term]
+        index = db if isinstance(db, JoinIndex) else JoinIndex(as_fact_set(db))
+        yield from _extend(steps, 0, assignment, index)
 
     def evaluate(self, db) -> bool:
         for _ in self.homomorphisms(db):
@@ -141,8 +110,7 @@ class ConjunctiveQuery(BooleanQuery):
         image is a support; hence the minimal supports are exactly the ⊆-minimal
         homomorphism images.
         """
-        facts = as_fact_set(db)
-        images = {self.image(h) for h in self.homomorphisms(facts)}
+        images = {self.image(h) for h in self.homomorphisms(db)}
         return minimize_supports(images)
 
     # -- canonical databases and cores ------------------------------------------
@@ -223,6 +191,120 @@ class ConjunctiveQuery(BooleanQuery):
 
     def __hash__(self) -> int:
         return hash(("ConjunctiveQuery", frozenset(self.atoms)))
+
+
+# -- the join layer ---------------------------------------------------------------
+
+class JoinIndex:
+    """A fact set bucketed for the homomorphism search.
+
+    One pass buckets the facts by ``(relation, arity)``.  A join step that
+    probes an argument position reads a ``{constant: [facts]}`` map of its
+    bucket, built on first use and kept.  Nothing else changes after
+    construction, so one index serves any number of searches over the same
+    facts: :meth:`ConjunctiveQuery.homomorphisms` builds one per call unless
+    it is handed one, and the delta search builds one per delta.
+    """
+
+    __slots__ = ("buckets", "_maps")
+
+    def __init__(self, facts: Iterable[Fact]):
+        buckets: dict[tuple[str, int], list[Fact]] = {}
+        for f in facts:
+            buckets.setdefault((f.relation, len(f.terms)), []).append(f)
+        self.buckets = buckets
+        self._maps: dict[tuple[str, int, int], dict[Constant, list[Fact]]] = {}
+
+    def probe(self, key: tuple[str, int, int]) -> dict[Constant, list[Fact]]:
+        """The facts of bucket ``key[:2]`` keyed by their constant at position ``key[2]``."""
+        by_value = self._maps.get(key)
+        if by_value is None:
+            by_value = {}
+            position = key[2]
+            for f in self.buckets.get(key[:2], ()):
+                by_value.setdefault(f.terms[position], []).append(f)
+            self._maps[key] = by_value
+        return by_value
+
+
+class _Step(NamedTuple):
+    """One join step: where its candidate facts come from and what each must satisfy."""
+
+    #: ``(relation, arity)`` of the step's atom.
+    bucket: tuple[str, int]
+    #: ``bucket + (position,)`` for the first argument position already bound,
+    #: or ``None`` when the atom has none (the step scans the whole bucket).
+    probe: "tuple[str, int, int] | None"
+    #: The bound term at the probe position.
+    probe_term: "Term | None"
+    #: ``(position, term)`` for each term this step binds first.
+    binds: tuple[tuple[int, Term], ...]
+    #: ``(position, term)`` for every other position.  Its term is already
+    #: bound (a constant, a pinned term, an earlier step or an earlier
+    #: position of this atom), so a candidate fact must agree with it.
+    checks: tuple[tuple[int, Term], ...]
+
+
+@functools.lru_cache(maxsize=512)
+def _join_plan(atoms: tuple[Atom, ...], pinned: frozenset[Term]
+               ) -> tuple[tuple[Constant, ...], tuple[_Step, ...]]:
+    """The constants of ``atoms`` and their join steps, given the ``pinned`` terms.
+
+    The order is greedy: repeatedly the atom with the fewest unbound
+    variables, ties broken by ``str(atom)``.  A plan depends only on its
+    arguments, so equal queries share one.
+    """
+    constants = atoms_constants(atoms)
+    bound: set[Term] = set(constants) | pinned
+    remaining = list(atoms)
+    steps: list[_Step] = []
+    while remaining:
+        chosen = min(remaining, key=lambda a: (len(a.variables() - bound), str(a)))
+        remaining.remove(chosen)
+        bucket = (chosen.relation, chosen.arity)
+        probe = probe_term = None
+        binds: list[tuple[int, Term]] = []
+        checks: list[tuple[int, Term]] = []
+        introduced: set[Term] = set()
+        for position, term in enumerate(chosen.terms):
+            if probe is None and term in bound:
+                probe, probe_term = bucket + (position,), term
+            elif term in bound or term in introduced:
+                checks.append((position, term))
+            else:
+                binds.append((position, term))
+                introduced.add(term)
+        bound |= introduced
+        steps.append(_Step(bucket, probe, probe_term, tuple(binds), tuple(checks)))
+    return tuple(constants), tuple(steps)
+
+
+def _extend(steps: Sequence[_Step], depth: int, assignment: dict[Term, Constant],
+            index: JoinIndex) -> Iterator[dict[Term, Constant]]:
+    """Yield every extension of ``assignment`` through ``steps[depth:]``.
+
+    A candidate fact first writes the terms its step binds, then checks its
+    other positions.  A rejected candidate's writes need no undo: they are
+    terms this step introduces, so the next candidate rewrites them before
+    any check or deeper step reads them.
+    """
+    if depth == len(steps):
+        yield dict(assignment)
+        return
+    bucket, probe, probe_term, binds, checks = steps[depth]
+    if probe is None:
+        candidates = index.buckets.get(bucket, ())
+    else:
+        candidates = index.probe(probe).get(assignment[probe_term], ())
+    for fact in candidates:
+        values = fact.terms
+        for position, term in binds:
+            assignment[term] = values[position]
+        for position, term in checks:
+            if values[position] != assignment[term]:
+                break
+        else:
+            yield from _extend(steps, depth + 1, assignment, index)
 
 
 def cq(*atoms: Atom, name: str = "") -> ConjunctiveQuery:

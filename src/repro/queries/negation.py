@@ -37,6 +37,7 @@ class ConjunctiveQueryWithNegation(BooleanQuery):
         self.positive: tuple[Atom, ...] = pos
         self.negative: tuple[Atom, ...] = neg
         self.name = name
+        self._positive_query = ConjunctiveQuery(pos, name=f"{name}+" if name else "")
         if require_safe:
             pos_vars = atoms_variables(pos)
             for atom in neg:
@@ -53,8 +54,8 @@ class ConjunctiveQueryWithNegation(BooleanQuery):
         return self.positive + self.negative
 
     def positive_query(self) -> ConjunctiveQuery:
-        """The CQ formed by the positive atoms only (``q+``)."""
-        return ConjunctiveQuery(self.positive, name=f"{self.name}+" if self.name else "")
+        """The CQ formed by the positive atoms only (``q+``), built once per query."""
+        return self._positive_query
 
     def variables(self) -> frozenset[Variable]:
         return atoms_variables(self.atoms)
@@ -79,8 +80,7 @@ class ConjunctiveQueryWithNegation(BooleanQuery):
     # -- semantics ---------------------------------------------------------------------
     def evaluate(self, db) -> bool:
         facts = as_fact_set(db)
-        positive_cq = self.positive_query()
-        for hom in positive_cq.homomorphisms(facts):
+        for hom in self._positive_query.homomorphisms(facts):
             violated = False
             for atom in self.negative:
                 grounded = atom.substitute(hom)
@@ -88,7 +88,7 @@ class ConjunctiveQueryWithNegation(BooleanQuery):
                     # Safe negation guarantees groundedness; guard anyway.
                     violated = True
                     break
-                if grounded.to_fact() in facts:
+                if grounded in facts:
                     violated = True
                     break
             if not violated:
@@ -159,16 +159,17 @@ class FirstOrderNegationQuery(BooleanQuery):
             if not atom.variables() <= pos_vars:
                 raise ValueError("variables of the negated conjunction must occur positively")
         self.name = name
+        self._positive_query = ConjunctiveQuery(self.positive)
 
     def positive_query(self) -> ConjunctiveQuery:
-        """The positive part as a CQ."""
-        return ConjunctiveQuery(self.positive)
+        """The positive part as a CQ, built once per query."""
+        return self._positive_query
 
     def evaluate(self, db) -> bool:
         facts = as_fact_set(db)
-        for hom in self.positive_query().homomorphisms(facts):
-            grounded = [a.substitute(hom) for a in self.negated_conjunction]
-            if not all(g.is_ground() and g.to_fact() in facts for g in grounded):
+        for hom in self._positive_query.homomorphisms(facts):
+            # A non-ground image is never a fact, so it counts as absent.
+            if not all(a.substitute(hom) in facts for a in self.negated_conjunction):
                 return True
         return False
 

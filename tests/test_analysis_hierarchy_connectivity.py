@@ -1,5 +1,10 @@
 """Tests for the hierarchy test and the connectivity analyses."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.analysis import (
     connected_components_of_cq,
     find_non_hierarchical_witness,
@@ -106,3 +111,17 @@ class TestConnectivity:
     def test_variable_connected_query(self, q_rst):
         assert is_variable_connected_query(q_rst)
         assert not is_variable_connected_query(cq(atom("A", X, "a"), atom("B", "a", Y)))
+
+
+class TestLazyGraphLibrary:
+    def test_import_repro_does_not_load_networkx(self):
+        """networkx is imported only by the functions that build graphs, so a
+        plain ``import repro`` (every process's start-up) does not pay for it."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = "import sys, repro; print('networkx' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,5 +1,12 @@
 """Tests for the term and atom layer (repro.data.terms, repro.data.atoms)."""
 
+import base64
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.data import (
@@ -124,6 +131,67 @@ class TestAtoms:
         assert atoms_constants(atoms) == {const("a"), const("b")}
         assert atoms_variables(atoms) == {var("x")}
         assert atoms_terms(atoms) == {var("x"), const("a"), const("b")}
+
+
+#: Facts over string constants, whose hashes depend on the hash seed.
+_FACT_ARGS = [("R", "a"), ("S", "a", "b"), ("S", "b", "a"), ("T", "b"),
+              ("Edge", "node-1", "7"), ("Keyword", "paper", "Shapley"), ("N", "a", "a")]
+
+_HASH_SEED_CHILD = f"""
+import base64, pickle, sys
+from repro.data import fact
+facts = frozenset(fact(*args) for args in {_FACT_ARGS!r})
+if sys.argv[1] == "dump":
+    print(hash("repro"), base64.b64encode(pickle.dumps(facts)).decode())
+else:
+    loaded = pickle.loads(base64.b64decode(sys.stdin.read()))
+    print(hash("repro"), loaded == facts and all(f in loaded for f in facts))
+"""
+
+
+def _run_with_hash_seed(seed: str, mode: str, stdin: str = "") -> "tuple[int, str]":
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _HASH_SEED_CHILD, mode], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    child_hash, payload = proc.stdout.split()
+    return int(child_hash), payload
+
+
+def _dump_under_another_hash_seed() -> "tuple[str, str]":
+    """Pickle the facts in a child whose string hashes differ from this
+    process's; returns the child's ``PYTHONHASHSEED`` and the pickle."""
+    for seed in ("1", "2"):
+        child_hash, payload = _run_with_hash_seed(seed, "dump")
+        if child_hash != hash("repro"):
+            return seed, payload
+    raise AssertionError("no seed gave a different string hash")
+
+
+class TestHashMemo:
+    def test_atom_and_fact_with_equal_content_hash_equal(self):
+        terms = (const("a"), const("b"))
+        ground_atom, ground_fact = Atom("S", terms), Fact("S", terms)
+        assert hash(ground_atom) == hash(ground_fact) == hash(("S", terms))
+        assert ground_atom in {ground_fact} and ground_fact in {ground_atom}
+
+    def test_facts_pickled_under_another_hash_seed_are_found_here(self):
+        """A frozenset of facts pickled in a process with a different hash seed
+        still contains every fact once unpickled here: unpickling rebuilds each
+        atom, so its hash is recomputed under this process's seed."""
+        _, payload = _dump_under_another_hash_seed()
+        loaded = pickle.loads(base64.b64decode(payload))
+        facts = frozenset(fact(*args) for args in _FACT_ARGS)
+        assert loaded == facts
+        assert all(f in loaded for f in facts)
+
+    def test_facts_pickled_here_are_found_under_another_hash_seed(self):
+        seed, _ = _dump_under_another_hash_seed()
+        facts = frozenset(fact(*args) for args in _FACT_ARGS)
+        payload = base64.b64encode(pickle.dumps(facts)).decode()
+        assert _run_with_hash_seed(seed, "load", payload)[1] == "True"
 
 
 class TestSingleAtomCHomomorphisms:
