@@ -12,11 +12,15 @@ three-variable ``{r_i, s_ij, t_j}`` sets), asserts bitwise-identical
 ``2^n`` table is feasible — and records the timings in ``BENCH_circuit.json``
 so the speedup trajectory accumulates run over run.
 
-The acceptance contract asserted here: at the largest size the circuit
+The acceptance contracts asserted here: at the largest size the circuit
 backend computes **all** per-fact Shapley values at least **5x** faster than
-the counting backend (the committed snapshot records ~8-12x).  Unlike the
-process-pool benchmark this one is hardware-independent — both sides run
-serially on one core, so the assertion holds on any machine.
+the counting backend (the committed snapshot records ~8-12x); and on the FP
+side of Figure 1b, ``method="auto"`` — which runs the circuit there, keeping
+the safe plan as its node-budget fallback — is at least **50x** faster than
+``method="safe"`` on 30 all-endogenous ``q_hier`` facts, with bitwise-equal
+values.  Unlike the process-pool benchmark both contracts are
+hardware-independent — both sides run serially on one core, so the
+assertions hold on any machine.
 """
 
 from __future__ import annotations
@@ -30,8 +34,14 @@ import pytest
 
 from _perf_env import assertion, environment
 from repro.counting import clear_caches
+from repro.data import complete_bipartite_s_facts, fact, purely_endogenous
 from repro.engine import SVCEngine
-from repro.experiments import format_table, q_rst, sparse_endogenous_instance
+from repro.experiments import (
+    format_table,
+    q_hierarchical,
+    q_rst,
+    sparse_endogenous_instance,
+)
 
 QUERY = q_rst()
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_circuit.json"
@@ -42,6 +52,12 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_circuit.json"
 #: instance of the ≥ 5x contract.
 BRUTE_SHAPE = (3, 3, 0.7, 2)
 SHAPES = ((7, 7, 0.35, 5), (9, 9, 0.33, 5), (11, 11, 0.27, 5))
+
+#: The FP contract: ``q_hier`` over the complete bipartite ``S`` facts of a
+#: 5 x 5 graph plus ``R(l0..l4)``, all 30 facts endogenous.
+FP_QUERY = q_hierarchical()
+FP_SIDE = 5
+FP_FLOOR = 50.0
 
 
 def _timed(make_engine) -> "tuple[float, dict, SVCEngine]":
@@ -86,6 +102,26 @@ def _measure(shape: "tuple[int, int, float, int]") -> dict:
     }
 
 
+def _measure_fp() -> dict:
+    """``auto`` against ``method="safe"`` on the FP contract's instance."""
+    pdb = purely_endogenous(complete_bipartite_s_facts(FP_SIDE, FP_SIDE)
+                            | {fact("R", f"l{i}") for i in range(FP_SIDE)})
+    safe_time, safe_values, _ = _timed(
+        lambda: SVCEngine(FP_QUERY, pdb, method="safe"))
+    auto_time, auto_values, auto_engine = _timed(
+        lambda: SVCEngine(FP_QUERY, pdb))
+    _assert_bitwise(auto_values, safe_values)
+    return {
+        "query": str(FP_QUERY),
+        "n_endogenous": len(pdb.endogenous),
+        "auto_backend": auto_engine.backend(),
+        "circuit_nodes": auto_engine.circuit_size(),
+        "safe_s": round(safe_time, 4),
+        "auto_s": round(auto_time, 4),
+        "speedup": round(safe_time / auto_time, 1) if auto_time else None,
+    }
+
+
 def test_circuit_benchmark(capsys):
     """Measure, assert the perf + parity contract, and record ``BENCH_circuit.json``."""
     # Ground truth at brute-feasible size: circuit == counting == brute,
@@ -96,17 +132,23 @@ def test_circuit_benchmark(capsys):
     _assert_bitwise(SVCEngine(QUERY, small, method="counting").all_values(), brute)
 
     rows = [_measure(shape) for shape in SHAPES]
+    fp = _measure_fp()
     payload = {
         "query": str(QUERY),
         "instances": "sparse bipartite q_RST, all facts endogenous",
         **environment(),
         "rows": rows,
+        "fp_auto_vs_safe": fp,
         "assertions": [
             assertion("bitwise parity: circuit == counting == brute at "
                       "brute-feasible size", hardware_independent=True, ran=True),
             assertion("circuit >= 5x counting at the largest size",
                       hardware_independent=True, ran=True,
                       detail="both sides serial on one core"),
+            assertion(f"auto >= {FP_FLOOR:g}x safe on 30 all-endogenous q_hier "
+                      "facts, bitwise-equal values", hardware_independent=True,
+                      ran=True, detail="best of 2 cold runs per side, both "
+                      "serial on one core"),
         ],
         "note": ("counting = n conditioned counting passes over one shared "
                  "lineage; circuit = one compilation + one top-down "
@@ -118,11 +160,15 @@ def test_circuit_benchmark(capsys):
     with capsys.disabled():
         print()
         print(format_table(rows, title="Circuit vs counting SVC engine (q_RST)"))
+        print(format_table([fp], title="auto vs safe on the FP side (q_hier)"))
         print(f"recorded: {RESULTS_PATH}")
 
     largest = rows[-1]
     assert largest["speedup"] >= 5.0, \
         f"circuit backend only {largest['speedup']}x faster at the largest size: {largest}"
+    assert fp["auto_backend"] == "circuit", fp
+    assert fp["speedup"] >= FP_FLOOR, \
+        f"auto only {fp['speedup']}x faster than safe on the FP instance: {fp}"
 
 
 @pytest.mark.benchmark(group="circuit-engine")

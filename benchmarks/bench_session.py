@@ -3,8 +3,8 @@
 Two questions matter for the façade: (1) how much overhead the session layer
 (classification, dispatch, typed reports) adds over calling the engine
 directly — it must stay negligible against the value computation — and (2) how
-the three dispatch regimes (FP → safe plan, hard-small → exact counting,
-hard-large → Monte-Carlo) scale.  CI writes the timings to
+the three dispatch regimes (FP → compiled circuit, hard-small → exact
+circuit, hard-large → Monte-Carlo) scale.  CI writes the timings to
 ``BENCH_session.json`` so the perf trajectory of the API accumulates
 release over release.
 """
@@ -37,12 +37,12 @@ def test_session_matches_engine_exactly():
 
 
 @pytest.mark.benchmark(group="session-dispatch")
-def test_bench_session_fp_safe_backend(benchmark):
+def test_bench_session_fp_backend(benchmark):
     def run():
         return _fresh_session(QUERY_FP, PDB).report()
 
     report = benchmark(run)
-    assert report.backend == "safe"
+    assert report.backend == "circuit"  # the safe plan is the budget fallback
 
 
 @pytest.mark.benchmark(group="session-dispatch")

@@ -3,12 +3,13 @@
 
 The paper's message is that the *query* determines which SVC algorithm is
 admissible (Figure 1b).  The session encodes that: you hand it a query and a
-partitioned database, it classifies the query and routes to a safe plan,
-lineage counting, brute force or Monte-Carlo sampling — and tells you why.
+partitioned database, it classifies the query and routes to the compiled
+lineage circuit, brute force or Monte-Carlo sampling — and tells you why.
 
 This script walks through the three regimes:
 
-1. an FP query (hierarchical)  → polynomial safe-plan backend,
+1. an FP query (hierarchical)  → the circuit backend (polynomial-size here;
+   the safe plan is its node-budget fallback),
 2. a #P-hard query on a small instance → exact exponential backend,
 3. the same hard query with a tight size budget → Monte-Carlo fallback with an
    (ε, δ) guarantee, chosen automatically,
@@ -65,7 +66,7 @@ def main() -> None:
     print(f"Database: {len(pdb.endogenous)} endogenous S facts, "
           f"{len(pdb.exogenous)} exogenous R/T facts\n")
 
-    # 1. FP side: the classifier authorises the polynomial safe pipeline.
+    # 1. FP side: polynomial exact work, on the compiled-lineage circuit.
     show("q_hier (FP side)", AttributionSession(q_hier, pdb))
 
     # 2. Hard side, small instance: exact exponential backends are fine.

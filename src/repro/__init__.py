@@ -81,16 +81,18 @@ Backend-selection matrix — what ``method="auto"`` runs, and when to override:
 ==========  ===========================  =======================================
 backend     auto picks it when           cost / knobs
 ==========  ===========================  =======================================
- safe       a safe plan compiles         polynomial; lifted inference + the
-            (FP side of Figure 1b)       partition identity, one plan per query
- circuit    query is (C-)hom-closed      one lineage compilation (bounded by
-            and the lineage compiles     ``EngineConfig.circuit_node_budget``,
-            under the node budget        default 100 000 nodes) + one
+ circuit    query is (C-)hom-closed,     one lineage compilation (bounded by
+            FP side of Figure 1b         ``EngineConfig.circuit_node_budget``,
+            included                     default 100 000 nodes) + one
                                          derivative sweep for *all* facts;
-                                         worst-case exponential circuit size
+                                         polynomial-size on the FP queries
+                                         measured, worst-case exponential
+ safe       the circuit blew its node    polynomial; lifted inference + the
+            budget and a safe plan       partition identity, one plan per query,
+            compiles (FP stays FP)       compiled only when this fallback fires
  counting   the circuit blew its node    one lineage, ``n`` conditioned
-            budget (hom-closed only)     counting passes; an explicit
-                                         request on a non-hom-closed query
+            budget and the query has     counting passes; an explicit
+            no safe plan                 request on a non-hom-closed query
                                          runs ``brute``
  brute      query is not hom-closed      one ``2^n`` coalition enumeration
                                          into every fact's pair strata (no

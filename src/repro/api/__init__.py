@@ -3,7 +3,7 @@
 One entry point replaces the ~40 free functions of the historical API:
 :class:`AttributionSession` wraps the batched :class:`repro.engine.SVCEngine`
 and the Figure 1b dichotomy classifier, dispatches to the admissible backend
-(safe plan / lineage counting / brute force / Monte-Carlo sampling) and returns
+(compiled circuit / brute force / Monte-Carlo sampling) and returns
 typed, frozen, JSON-serialisable results.  The legacy free functions that
 once wrapped it were removed; ``CHANGES.md`` maps each to its session call.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..compile import DEFAULT_NODE_BUDGET
-from ..engine.svc_engine import DEFAULT_PARALLEL_THRESHOLD, SHARD_POLICIES
+from ..engine.svc_engine import DEFAULT_PARALLEL_THRESHOLD, ENGINE_BACKENDS, SHARD_POLICIES
 from ..errors import ConfigError
 from ..values import INDICES
 
@@ -23,7 +23,7 @@ from ..values import INDICES
 #: the dichotomy-aware dispatch of :class:`repro.api.AttributionSession`; the
 #: exact names are the :class:`repro.engine.SVCEngine` backends; ``sampled``
 #: is the Monte-Carlo permutation-sampling estimator.
-METHODS = ("auto", "safe", "circuit", "counting", "brute", "sampled")
+METHODS = (*ENGINE_BACKENDS, "sampled")
 
 #: What to do when the classifier says the query is #P-hard (or unclassified)
 #: and the instance exceeds ``exact_size_limit``.
@@ -35,9 +35,12 @@ class EngineConfig:
     """Validated, immutable configuration for :class:`repro.api.AttributionSession`.
 
     ``method="auto"`` (the default) lets the session consult the Figure 1b
-    classifier and route to a safe plan, the lineage counter, brute force or
-    Monte-Carlo sampling; any other value is an explicit override recorded in
-    the session's :class:`repro.api.Explanation`.
+    classifier: every hom-closed query runs the compiled-lineage circuit
+    (which falls back to the safe plan, or to lineage counting, when it blows
+    ``circuit_node_budget``), any other query brute force, and a hard query
+    on an instance above ``exact_size_limit`` Monte-Carlo sampling.  Any
+    other value is an explicit override recorded in the session's
+    :class:`repro.api.Explanation`.
     """
 
     #: Backend override; ``auto`` means dichotomy-aware dispatch.
@@ -67,8 +70,9 @@ class EngineConfig:
     #: pool; below it the serial path always runs (pool startup would dominate).
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
     #: Ceiling on the node count of the ``circuit`` backend's compiled
-    #: lineage; past it compilation aborts and the engine falls back to
-    #: per-fact lineage conditioning (the ``counting`` backend).
+    #: lineage; past it compilation aborts and the engine falls back to the
+    #: ``safe`` plan when the query has one, else to per-fact lineage
+    #: conditioning (the ``counting`` backend).
     circuit_node_budget: int = DEFAULT_NODE_BUDGET
     #: Sharding axis of the exact engine's parallelism: ``"fact"`` stripes the
     #: fact list over workers (the PR 3 behaviour), ``"component"`` ships one
@@ -118,5 +122,5 @@ class EngineConfig:
         return asdict(self)
 
 
-__all__ = ["EngineConfig", "INDICES", "METHODS", "ON_HARD_POLICIES",
-           "SHARD_POLICIES"]
+__all__ = ["ENGINE_BACKENDS", "EngineConfig", "INDICES", "METHODS",
+           "ON_HARD_POLICIES", "SHARD_POLICIES"]

@@ -5,8 +5,10 @@ decided by the query's position in the Figure 1b dichotomy.
 :class:`AttributionSession` encodes that message as API: it consults
 :func:`repro.analysis.dichotomy.classify_svc` once per session and routes to
 
-* the polynomial safe-plan backend when the verdict is FP (falling back to the
-  compiled-lineage circuit when the conservative plan compiler finds no plan),
+* the compiled-lineage circuit when the verdict is FP — polynomial-size on
+  these queries in practice, and far faster than the safe plan's per-fact
+  interpolation; if the circuit ever blows its node budget, a query with a
+  safe plan falls back to that plan, so the work stays polynomial,
 * an exact exponential backend (circuit / counting / brute) when the query is
   hard or unclassified but the instance is small enough that exponential is
   fine — preferring the circuit, whose node budget caps the compilation work,
@@ -39,9 +41,6 @@ from .results import AttributionReport, AttributionResult, EfficiencyCheck, Expl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workspace.store import ArtifactStore
-
-#: Engine backends (everything the session runs that is not the sampler).
-_EXACT_BACKENDS = ("safe", "circuit", "counting", "brute")
 
 
 class AttributionSession:
@@ -98,10 +97,11 @@ class AttributionSession:
     def explanation(self) -> Explanation:
         """The dispatch decision: which backend runs, and why.
 
-        Dispatch is real work — classification, safe-plan compilation, and on
-        the circuit backend the lineage build plus circuit compilation — so
-        its (first, memoised) run is charged to the session's wall time like
-        every other value-producing step.
+        Dispatch is real work — classification, and on the circuit backend
+        the lineage build plus circuit compilation (plus the safe plan, if
+        the circuit blows its node budget) — so its (first, memoised) run is
+        charged to the session's wall time like every other value-producing
+        step.
         """
         if self._explanation is None:
             start = time.perf_counter()
@@ -110,7 +110,8 @@ class AttributionSession:
         return self._explanation
 
     def backend(self) -> str:
-        """The resolved backend name (``safe`` / ``counting`` / ``brute`` / ``sampled``)."""
+        """The resolved backend name (``circuit`` / ``safe`` / ``counting`` /
+        ``brute`` / ``sampled``)."""
         return self.explanation().backend
 
     def _engine_for(self, method: str) -> SVCEngine:
@@ -129,17 +130,15 @@ class AttributionSession:
         config = self.config
         verdict = self.classify()
         if config.method != "auto":
-            if config.method in _EXACT_BACKENDS:
-                backend = self._engine_for(config.method).backend()
-            else:
-                backend = "sampled"
+            backend = ("sampled" if config.method == "sampled"
+                       else self._engine_for(config.method).backend())
             return Explanation(
                 backend=backend, verdict=verdict, overridden=True,
                 reason=f"explicit EngineConfig.method={config.method!r} override")
         if verdict.complexity is Complexity.FP:
-            # FP side: the engine's auto ladder (safe plan when the
-            # conservative compiler finds one, else the compiled-lineage
-            # circuit — polynomial on these instances).
+            # FP side: the engine's auto rule picks the compiled-lineage
+            # circuit for every hom-closed query; the safe plan is its
+            # node-budget fallback, so the work stays polynomial.
             backend = self._engine_for("auto").backend()
             return Explanation(
                 backend=backend, verdict=verdict, overridden=False,

@@ -5,7 +5,7 @@ be inspected without writing Python:
 
 * ``repro attribute`` — the stable entry point: a dichotomy-aware
   :class:`repro.api.AttributionSession` that classifies the query, routes to
-  the admissible backend (safe / counting / brute / Monte-Carlo) and emits a
+  the admissible backend (circuit / counting / brute / Monte-Carlo) and emits a
   typed, JSON-serialisable :class:`repro.api.AttributionReport`,
 * ``repro shapley``   — Shapley values of the endogenous facts of a database,
 * ``repro svc-all``   — the batched whole-database workload: every Shapley
@@ -56,6 +56,7 @@ from dataclasses import fields as dataclass_fields
 from .analysis.dichotomy import classify_svc
 from .api import AttributionReport, AttributionSession, EngineConfig
 from .api.config import (
+    ENGINE_BACKENDS,
     INDICES,
     METHODS,
     ON_HARD_POLICIES,
@@ -160,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shapley = subparsers.add_parser("shapley", help="Shapley values of the endogenous facts")
     _add_common_arguments(shapley)
-    shapley.add_argument("--method",
-                         choices=["auto", "brute", "circuit", "counting", "safe", "sampled"],
+    shapley.add_argument("--method", choices=list(METHODS),
                          default="auto", help="solver to use (default: auto)")
     shapley.add_argument("--samples", type=int, default=2000,
                          help="number of permutation samples for --method sampled")
@@ -170,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     svc_all = subparsers.add_parser(
         "svc-all", help="batched Shapley values of every endogenous fact (SVCEngine)")
     _add_common_arguments(svc_all)
-    svc_all.add_argument("--method",
-                         choices=["auto", "brute", "circuit", "counting", "safe"],
+    svc_all.add_argument("--method", choices=list(ENGINE_BACKENDS),
                          default="auto", help="engine backend (default: auto)")
     svc_all.add_argument("--workers", type=int, default=config_defaults["workers"],
                          help="worker processes for the engine (1 = serial)")
@@ -206,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "'<R(a)' make endogenous (repeatable; write "
                                 "removals as --delta='-R(a)' so the leading '-' "
                                 "is not read as an option)")
-    workspace.add_argument("--method",
-                           choices=["auto", "brute", "circuit", "counting", "safe"],
+    workspace.add_argument("--method", choices=list(ENGINE_BACKENDS),
                            default=config_defaults["method"],
                            help="engine backend for the attributions (default: auto)")
     workspace.add_argument("--index", choices=list(INDICES),
@@ -234,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     what_if.add_argument("--index", choices=list(INDICES),
                          default=config_defaults["index"],
                          help="value index to combine the conditioned counts with")
-    what_if.add_argument("--method",
-                         choices=["auto", "brute", "circuit", "counting", "safe"],
+    what_if.add_argument("--method", choices=list(ENGINE_BACKENDS),
                          default=config_defaults["method"],
                          help="engine backend of the standing attribution")
     what_if.add_argument("--store-dir", dest="store_dir", default=None,
@@ -398,9 +395,10 @@ def _command_shapley(args: argparse.Namespace) -> int:
     if args.method == "sampled":
         config = EngineConfig(method="sampled", n_samples=args.samples)
     else:
-        # Legacy command, legacy semantics: "auto" means the exact
-        # safe → counting → brute ladder, never a Monte-Carlo fallback
-        # (dichotomy-aware dispatch lives in `repro attribute`).
+        # Legacy command, legacy semantics: "auto" means the engine's exact
+        # rule (circuit, or brute for a query that is not hom-closed), never
+        # a Monte-Carlo fallback (dichotomy-aware dispatch lives in
+        # `repro attribute`).
         config = EngineConfig(method=args.method, on_hard="exact")
     report = AttributionSession(query, pdb, config).report()
     print(format_table(_report_rows(report), title=f"Shapley values for {query}"))

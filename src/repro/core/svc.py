@@ -21,19 +21,20 @@ these pipelines are the references the batch benchmarks compare it against.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal
 
 from ..counting.problems import CountingMethod, fgmc_vector
 from ..data.atoms import Fact
 from ..data.database import PartitionedDatabase
 from ..engine.backends import combine_fgmc_vectors
+from ..engine.svc_engine import EngineBackend
 from ..probability.interpolation import fgmc_vector_via_pqe
 from ..probability.lifted import UnsafeQueryError, lifted_probability
 from ..queries.base import BooleanQuery
 from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
 
-SVCMethod = Literal["auto", "brute", "counting", "safe"]
+#: The backend names the per-fact entry points accept: the engine's own.
+SVCMethod = EngineBackend
 
 #: Claim A.1 combiner (canonical implementation lives with the batched engine).
 shapley_value_from_fgmc_vectors = combine_fgmc_vectors

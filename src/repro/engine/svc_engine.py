@@ -26,9 +26,12 @@ per-fact vector pair from **one** shared artefact per ``(query, database)``:
   coalition's value to the pair strata of every fact (one query evaluation
   per coalition instead of one per coalition *per fact*, and no table).
 
-``method="auto"`` resolves safe → circuit → brute from the query's structure
-alone (:func:`resolve_auto_backend`); the circuit choice degrades to
-``counting`` at artefact-build time when compilation blows the node budget.
+``method="auto"`` resolves from the query's class alone
+(:func:`resolve_auto_backend`): ``circuit`` for a (C-)hom-closed query,
+``brute`` otherwise; it compiles nothing.  The circuit degrades at
+artefact-build time when the whole-formula compilation blows the node budget:
+to ``safe`` when the query has a safe plan (so FP stays FP), else to
+``counting``.
 A module-level LRU keyed by ``(query, pdb, resolved method, workers,
 parallel_threshold, circuit_node_budget, store, shard, index)`` lets
 independent call sites (ranking, max-SVC, relevance analysis, CLI) reuse the
@@ -58,7 +61,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Literal, get_args
 
 from ..compile import (
@@ -90,10 +92,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: counting backend's per-fact conditionings are sub-millisecond at that size).
 DEFAULT_PARALLEL_THRESHOLD = 12
 
-#: Backend names; ``auto`` resolves to the first applicable of
-#: safe/circuit/brute (circuit degrading to counting on budget overrun).
+#: Backend names; ``auto`` resolves to circuit or brute (the circuit
+#: degrading to safe or counting on a node-budget overrun).
 EngineBackend = Literal["auto", "brute", "circuit", "counting", "safe"]
-_BACKENDS = get_args(EngineBackend)
+#: The same names as a tuple: the one list every ``method`` check and CLI
+#: ``--method`` choice is derived from.
+ENGINE_BACKENDS = get_args(EngineBackend)
 
 #: Sharding policies for the exact backends.  ``"fact"`` stripes per-fact
 #: work over the whole shared artefact (the PR 3 axis); ``"component"``
@@ -106,33 +110,16 @@ ShardPolicy = Literal["auto", "component", "fact"]
 SHARD_POLICIES = ("auto", "component", "fact")
 
 
-def resolve_auto_backend(query: BooleanQuery) -> "tuple[str, Plan | None]":
-    """Resolve ``method="auto"`` to its concrete backend from the query alone.
+def resolve_auto_backend(query: BooleanQuery) -> str:
+    """Resolve ``method="auto"`` to its concrete backend from the query class alone.
 
-    The exact safe → counting → brute ladder, extended by knowledge
-    compilation: a safe plan when the conservative compiler finds one, else
-    the circuit backend for (C-)hom-closed queries (it degrades to
-    ``counting`` per instance if compilation blows the node budget — an
-    instance-level decision that cannot be made here), else brute force.
-    Returns the compiled safe plan alongside the name so callers that
-    resolved eagerly (the engine LRU) can seed the engine without compiling
-    the plan twice.
+    ``circuit`` for a (C-)hom-closed query, ``brute`` otherwise.  Nothing is
+    compiled here: the circuit's node-budget check is an instance-level
+    decision, made when the engine builds its artefact
+    (:meth:`SVCEngine._resolve_circuit`), and the safe plan is compiled only
+    if that check fails.
     """
-    if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
-        try:
-            return "safe", safe_plan(query)
-        except UnsafeQueryError:
-            pass
-    if query.is_hom_closed:
-        return "circuit", None
-    return "brute", None
-
-
-#: Memoised resolution for the engine LRU: ``get_engine`` resolves ``auto``
-#: on every call, and the safe-plan attempt must not be paid per call.
-#: Unhashable queries raise ``TypeError`` here — callers fall back to an
-#: uncached engine, exactly like an unhashable LRU key.
-_resolved_auto = lru_cache(maxsize=1024)(resolve_auto_backend)
+    return "circuit" if query.is_hom_closed else "brute"
 
 
 def _ranking_key(item: "tuple[Fact, Fraction]") -> "tuple[Fraction, Fact]":
@@ -176,9 +163,9 @@ class SVCEngine:
                  store: "ArtifactStore | None" = None,
                  shard: ShardPolicy = "auto",
                  index: "str | ValueIndex" = "shapley"):
-        if method not in _BACKENDS:
+        if method not in ENGINE_BACKENDS:
             raise ValueError(
-                f"method must be one of {_BACKENDS}, got {method!r}")
+                f"method must be one of {ENGINE_BACKENDS}, got {method!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if parallel_threshold < 0:
@@ -220,29 +207,28 @@ class SVCEngine:
         return self._backend
 
     def _resolve_backend(self) -> str:
-        if self.method == "counting" and not self.query.is_hom_closed:
+        method = (resolve_auto_backend(self.query) if self.method == "auto"
+                  else self.method)
+        if method == "counting" and not self.query.is_hom_closed:
             # No lineage to condition.  The brute kernel's pairs differ
             # from the FGMC pairs only by the q(Dx) offset, which cancels in
             # with[j] - without[j], all that any index reads.
             return "brute"
-        if self.method in ("brute", "counting"):
-            return self.method
-        if self.method == "safe":
+        if method in ("brute", "counting"):
+            return method
+        if method == "safe":
             self._ensure_plan()
             return "safe"
-        if self.method == "circuit":
-            return self._resolve_circuit()
-        # auto: the query-level ladder, then the instance-level budget check
-        # for the circuit choice.
-        name, plan = resolve_auto_backend(self.query)
-        if plan is not None and self._plan is None:
-            self._plan = plan
-        if name == "circuit":
-            return self._resolve_circuit()
-        return name
+        return self._resolve_circuit()
 
     def _resolve_circuit(self) -> str:
-        """``circuit`` when the lineage compiles under the node budget, else ``counting``.
+        """``circuit`` when the lineage compiles under the node budget.
+
+        When the whole-formula compilation blows the budget, a query with a
+        safe plan resolves to ``safe`` (polynomial, so FP stays FP even where
+        no small circuit exists) and any other query to ``counting``; either
+        way the overrun is audited in :meth:`degradation_reasons`.  The plan
+        goes through :meth:`_ensure_plan`, so it reaches an attached store.
 
         On the component shard axis no whole-formula circuit is built at all:
         each island compiles under its own budget inside the component path
@@ -259,7 +245,11 @@ class SVCEngine:
             self._ensure_compiled()
         except CircuitBudgetError as error:
             self._circuit_fallback = str(error)
-            return "counting"
+            try:
+                self._ensure_plan()
+            except UnsafeQueryError:
+                return "counting"
+            return "safe"
         return "circuit"
 
     # -- shared artefacts -------------------------------------------------------
@@ -334,9 +324,10 @@ class SVCEngine:
         coalition enumeration have no island structure to exploit); an explicit
         ``shard="component"`` request on the other backends degrades
         gracefully to the fact axis, mirroring how the circuit backend
-        degrades to counting on a blown budget.  ``shard="auto"`` takes the
-        component axis only when the pre-pass finds at least two islands —
-        one island means component-wise compute *is* whole-formula compute.
+        degrades to safe or counting on a blown budget.  ``shard="auto"``
+        takes the component axis only when the pre-pass finds at least two
+        islands — one island means component-wise compute *is* whole-formula
+        compute.
         """
         if self.shard == "fact" or backend not in ("circuit", "counting"):
             return False
@@ -512,7 +503,7 @@ class SVCEngine:
         return None
 
     def circuit_fallback_reason(self) -> "str | None":
-        """Why the circuit backend degraded to counting (``None`` when it did not).
+        """Why the circuit backend degraded to safe or counting (``None`` when it did not).
 
         On the component shard axis the backend never degrades wholesale;
         this records instead when individual islands blew the node budget
@@ -523,16 +514,18 @@ class SVCEngine:
     def degradation_reasons(self) -> "tuple[str, ...]":
         """The engine's rungs of the degradation ladder, in the order taken.
 
-        Entries are human-readable audit lines: ``"circuit→counting: ..."``
-        when the compiler's node budget forced lineage conditioning (still
-        exact), and ``"pool→..."`` when worker failures pushed islands back
-        onto the parent or the pool was unavailable outright (still exact,
-        serial).  Empty on a clean run; surfaced as
+        Entries are human-readable audit lines: ``"circuit→safe: ..."`` or
+        ``"circuit→counting: ..."`` when the compiler's node budget forced the
+        safe plan or lineage conditioning (still exact), and ``"pool→..."``
+        when worker failures pushed islands back onto the parent or the pool
+        was unavailable outright (still exact, serial).  Empty on a clean
+        run; surfaced as
         :attr:`repro.api.AttributionReport.degradation_reason`.
         """
         reasons = []
         if self._circuit_fallback is not None:
-            reasons.append(f"circuit→counting: {self._circuit_fallback}")
+            fallback = "safe" if self._backend == "safe" else "counting"
+            reasons.append(f"circuit→{fallback}: {self._circuit_fallback}")
         if self._pool_fallback is not None:
             reasons.append(self._pool_fallback)
         return tuple(reasons)
@@ -593,9 +586,9 @@ _CACHE_MISSES = 0
 #: Guards the LRU's pop/insert/evict sequences and the counters: the serving
 #: tier calls :func:`get_engine` from several executor threads at once, and an
 #: unguarded ``OrderedDict`` corrupts under concurrent structural mutation.
-#: Engine *construction* happens outside the lock (it can compile), so two
-#: threads missing on one key may both build — the later insert wins, which
-#: only costs duplicated work, never a wrong result.
+#: Engine *construction* happens outside the lock, so two threads missing
+#: on one key may both build — the later insert wins, which only costs
+#: duplicated work, never a wrong result.
 _ENGINE_CACHE_LOCK = threading.Lock()
 
 
@@ -620,13 +613,13 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
     workspaces and, for a disk-backed store, across processes.
 
     ``method="auto"`` is resolved to its concrete backend name **before** the
-    key is built (:func:`resolve_auto_backend`, memoised per query), so an
-    ``auto`` call and an explicit call for the backend it resolves to share
-    one engine — and one shared artefact — instead of holding two cache
-    entries for the same ``(query, pdb)``.  The query-level ``circuit``
-    resolution may still degrade to ``counting`` inside the engine when the
-    instance blows the node budget; the key keeps the resolved *request*
-    either way.
+    key is built (:func:`resolve_auto_backend`, a check of the query class
+    that compiles nothing), so an ``auto`` call and an explicit call for the
+    backend it resolves to share one engine — and one shared artefact —
+    instead of holding two cache entries for the same ``(query, pdb)``.  The
+    ``circuit`` resolution may still degrade to ``safe`` or ``counting``
+    inside the engine when the instance blows the node budget; the key keeps
+    the resolved *request* either way.
 
     Cache correctness rests on the immutability of the key: ``Database`` and
     :class:`repro.data.database.PartitionedDatabase` hold their facts in
@@ -634,16 +627,7 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
     be made stale by in-place mutation (see ``tests/test_api_session.py``).
     """
     global _CACHE_HITS, _CACHE_MISSES
-    plan: "Plan | None" = None
-    resolved = method
-    if method == "auto":
-        try:
-            resolved, plan = _resolved_auto(query)
-        except TypeError:  # unhashable query: the engine resolves privately
-            with _ENGINE_CACHE_LOCK:
-                _CACHE_MISSES += 1
-            return SVCEngine(query, pdb, method, workers,
-                             parallel_threshold, circuit_node_budget, store, shard, index)
+    resolved = resolve_auto_backend(query) if method == "auto" else method
     # The *requested* shard policy is keyed (resolving "auto" to an axis
     # needs the lineage, far too expensive at key time); an "auto" call and
     # an explicit "component" call therefore hold separate engines even when
@@ -666,17 +650,6 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
                          parallel_threshold, circuit_node_budget, store, shard, index)
     engine = SVCEngine(query, pdb, resolved, workers,
                        parallel_threshold, circuit_node_budget, store, shard, index)
-    if plan is not None:
-        # auto already compiled the plan: don't pay twice.  Seeding bypasses
-        # _ensure_plan, so persist it here too — otherwise auto-dispatched
-        # plans never reach the store and explicit method="safe" callers in
-        # other processes recompile.  A stored plan is kept as is: the plan
-        # of a fixed query never changes, and a workspace builds a new engine
-        # per snapshot.
-        from ..workspace.store import cached, plan_key
-
-        engine._plan = cached(store, lambda: plan_key(query), Plan,
-                              lambda: plan)
     with _ENGINE_CACHE_LOCK:
         _ENGINE_CACHE[key] = engine
         while len(_ENGINE_CACHE) > _ENGINE_CACHE_SIZE:
@@ -687,27 +660,19 @@ def get_engine(query: BooleanQuery, pdb: PartitionedDatabase,
 def engine_cache_stats() -> dict[str, int]:
     """Counters of the engine LRU (reported by the session metadata).
 
-    ``hits`` / ``misses`` / ``size`` describe the engine LRU itself;
-    ``auto_resolutions`` is the entry count of the memoised ``auto``-backend
-    resolution (which holds compiled safe plans), so a fully cleared cache
-    reports all four as zero.
+    ``hits`` / ``misses`` / ``size`` describe the engine LRU, the only cache
+    of this module; a cleared cache reports all three as zero.
     """
     with _ENGINE_CACHE_LOCK:
         return {"hits": _CACHE_HITS, "misses": _CACHE_MISSES,
-                "size": len(_ENGINE_CACHE),
-                "auto_resolutions": _resolved_auto.cache_info().currsize}
+                "size": len(_ENGINE_CACHE)}
 
 
 def clear_engine_cache() -> None:
-    """Drop all cached engines and reset the hit/miss counters.
-
-    Also clears the memoised ``auto``-backend resolution (and with it every
-    safe plan it holds): before this, "cleared" caches silently kept serving
-    plans and backend choices resolved for earlier engines.
-    """
+    """Drop all cached engines (with their plans, lineages and circuits) and
+    reset the hit/miss counters."""
     global _CACHE_HITS, _CACHE_MISSES
     with _ENGINE_CACHE_LOCK:
         _ENGINE_CACHE.clear()
-        _resolved_auto.cache_clear()
         _CACHE_HITS = 0
         _CACHE_MISSES = 0

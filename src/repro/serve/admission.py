@@ -11,9 +11,9 @@ bounds the work (a decision circuit over ``n`` variables has at most
 
 Verdicts map to four lanes:
 
-* ``fast``     — the classifier says FP: polynomial work (safe plan, or a
-  circuit that compiles in polynomial size on these instances).  Never
-  queued behind exponential work.
+* ``fast``     — the classifier says FP: polynomial work (a circuit that
+  compiles in polynomial size on these instances, with the safe plan as its
+  node-budget fallback).  Never queued behind exponential work.
 * ``pooled``   — the query is hard or unclassified but the instance is small
   enough that an exact exponential backend fits the declared budgets; the
   request takes a bounded pool slot.

@@ -46,7 +46,7 @@ from ..api.config import EngineConfig
 from ..api.session import AttributionSession
 from ..data.atoms import Fact
 from ..data.database import PartitionedDatabase
-from ..engine.svc_engine import _ranking_key, _resolved_auto, resolve_auto_backend
+from ..engine.svc_engine import _ranking_key, resolve_auto_backend
 from ..errors import ConfigError
 from ..incremental import MaintainedLineage, SnapshotDelta, patch_attribution
 from ..queries.base import BooleanQuery
@@ -323,22 +323,18 @@ class AttributionWorkspace:
         Incremental maintenance requires the minimal-support machinery
         (hom-closed queries) and a backend the island patcher reproduces
         exactly: the circuit backend, the lineage-counting backend, and
-        ``auto`` when it resolves to the circuit.  Everything else — safe
-        plans, brute force, non-hom-closed queries — recomputes
-        conservatively (``refresh_reason="conservative-recompute"``).
+        ``auto``, which resolves every hom-closed query — FP ones included —
+        to the circuit (:func:`~repro.engine.svc_engine.resolve_auto_backend`).
+        Everything else — an explicit ``safe``, brute force, non-hom-closed
+        queries — recomputes conservatively
+        (``refresh_reason="conservative-recompute"``).
         """
         if not query.is_hom_closed:
             return None
         method = self._config.method
-        if method in ("circuit", "counting"):
-            return method
         if method == "auto":
-            try:
-                resolved, _ = _resolved_auto(query)
-            except TypeError:       # unhashable query: resolve uncached
-                resolved, _ = resolve_auto_backend(query)
-            return "circuit" if resolved == "circuit" else None
-        return None
+            method = resolve_auto_backend(query)
+        return method if method in ("circuit", "counting") else None
 
     def _maintained(self, query: BooleanQuery) -> "MaintainedLineage | None":
         """The maintained minimal-support view for the *current* snapshot.

@@ -183,9 +183,9 @@ class TestReportRoundTrip:
 
 
 class TestDispatchPolicy:
-    def test_fp_query_routes_to_safe_backend(self, rst_exogenous_pdb):
+    def test_fp_query_routes_to_circuit_backend(self, rst_exogenous_pdb):
         session = AttributionSession(Q_HIER, rst_exogenous_pdb)
-        assert session.backend() == "safe"
+        assert session.backend() == "circuit"
         explanation = session.explanation()
         assert explanation.verdict.complexity is Complexity.FP
         assert not explanation.overridden
@@ -402,8 +402,7 @@ class TestEngineCacheHygiene:
 
     def test_cache_stats_count_hits_and_misses(self, rst_exogenous_pdb):
         clear_engine_cache()
-        assert engine_cache_stats() == {"hits": 0, "misses": 0, "size": 0,
-                                        "auto_resolutions": 0}
+        assert engine_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
         get_engine(Q_RST, rst_exogenous_pdb)
         stats = engine_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] == 0 and stats["size"] == 1
@@ -411,24 +410,17 @@ class TestEngineCacheHygiene:
         stats = engine_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         clear_engine_cache()
-        assert engine_cache_stats() == {"hits": 0, "misses": 0, "size": 0,
-                                        "auto_resolutions": 0}
-
-    def test_clear_engine_cache_clears_memoised_auto_resolution(self, rst_exogenous_pdb):
-        # Regression: clear_engine_cache() used to leave the memoised
-        # auto-backend resolution (and the safe plans it holds) populated, so
-        # "cleared" caches kept serving stale resolutions.
-        clear_engine_cache()
-        get_engine(Q_HIER, rst_exogenous_pdb)  # auto -> safe, memoises a plan
-        assert engine_cache_stats()["auto_resolutions"] == 1
-        clear_engine_cache()
-        assert engine_cache_stats()["auto_resolutions"] == 0
+        assert engine_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
     def test_report_carries_cache_stats(self, rst_exogenous_pdb):
         clear_engine_cache()
         report = AttributionSession(Q_RST, rst_exogenous_pdb).report()
-        assert set(report.cache) == {"hits", "misses", "size", "auto_resolutions"}
+        assert set(report.cache) == {"hits", "misses", "size"}
         assert report.cache["misses"] >= 1
+        # Payloads saved with the retired ``auto_resolutions`` counter load.
+        payload = report.to_json_dict()
+        payload["engine_cache"] = {**payload["engine_cache"], "auto_resolutions": 1}
+        assert AttributionReport.from_json_dict(payload).cache["auto_resolutions"] == 1
 
     def test_derived_databases_do_not_alias_cached_engines(self, rst_exogenous_pdb):
         # "Mutation" in this API means deriving a new object; the derived

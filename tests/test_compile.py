@@ -10,12 +10,14 @@ degrades gracefully to per-fact conditioning.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.dichotomy import Complexity
 from repro.api import AttributionSession, ConfigError, EngineConfig
 from repro.probability import uniform_probability
 from repro.compile import (
@@ -38,7 +40,8 @@ from repro.engine import (
 from repro.engine.backends import circuit_pairs
 from repro.experiments import full_catalog
 from repro.linalg import shapley_subset_weight
-from repro.queries import cq
+from repro.queries import ConjunctiveQuery, UnionOfConjunctiveQueries, cq
+from repro.workspace import DiskStore, plan_key
 
 X, Y = var("x"), var("y")
 Q_RST = cq(atom("R", X), atom("S", X, Y), atom("T", Y), name="q_RST")
@@ -357,15 +360,41 @@ class TestSessionIntegration:
         assert payload["circuit_compile_time_s"] == report.circuit_compile_time_s
 
     def test_safe_backend_reports_no_circuit(self, q_hier, rst_exogenous_pdb):
-        report = AttributionSession(q_hier, rst_exogenous_pdb).report()
+        report = AttributionSession(q_hier, rst_exogenous_pdb,
+                                    EngineConfig(method="safe")).report()
         assert report.backend == "safe"
         assert report.circuit_size is None
         assert report.circuit_compile_time_s is None
 
 
 # --------------------------------------------------------------------------
-# get_engine LRU: auto resolves before keying (regression for the PR 3 wart)
+# auto resolution: one rule from the query class, resolved before the LRU
+# keys the engine, with the safe plan as the circuit's budget fallback
 # --------------------------------------------------------------------------
+
+#: Hom-closed catalog entries on the FP side of Figure 1b.
+FP_HOM_CLOSED = [e for e in HOM_CLOSED if e.expected is Complexity.FP]
+
+
+def _seeded_instance(query, seed: int) -> PartitionedDatabase:
+    """Up to three facts per relation over ``{a, b}``, most endogenous."""
+    rng = random.Random(seed)
+    facts = set()
+    for relation, arity in sorted(_vocabulary_arities(query).items()):
+        pool = list(itertools.product("ab", repeat=arity))
+        facts.update(fact(relation, *args)
+                     for args in rng.sample(pool, min(3, len(pool))))
+    endogenous = frozenset(f for f in sorted(facts) if rng.random() < 0.8)
+    return PartitionedDatabase(endogenous, frozenset(facts) - endogenous)
+
+
+def _assert_bitwise(left: dict, right: dict) -> None:
+    assert left == right
+    for f, value in left.items():
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (
+            right[f].numerator, right[f].denominator)
+
 
 class TestEngineCacheResolution:
     def test_auto_and_explicit_share_one_engine(self, q_rst, q_hier, rst_exogenous_pdb):
@@ -374,17 +403,63 @@ class TestEngineCacheResolution:
         assert get_engine(q_rst, rst_exogenous_pdb, "circuit") is auto
         stats = engine_cache_stats()
         assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
-        safe_auto = get_engine(q_hier, rst_exogenous_pdb)    # auto -> safe
-        assert get_engine(q_hier, rst_exogenous_pdb, "safe") is safe_auto
+        fp_auto = get_engine(q_hier, rst_exogenous_pdb)      # auto -> circuit
+        assert get_engine(q_hier, rst_exogenous_pdb, "circuit") is fp_auto
         stats = engine_cache_stats()
         assert (stats["hits"], stats["misses"], stats["size"]) == (2, 2, 2)
         clear_engine_cache()
 
     def test_auto_seeds_the_safe_plan(self, q_hier, rst_exogenous_pdb):
+        # auto compiles a plan only on a node-budget overrun, never up front.
         clear_engine_cache()
         engine = get_engine(q_hier, rst_exogenous_pdb)
-        assert engine.method == "safe"         # resolved before construction
-        assert engine._plan is not None        # ...and the plan came along
+        engine.all_values()
+        assert engine.method == "circuit"      # resolved before construction
+        assert engine._plan is None            # ...and no plan was compiled
+        clear_engine_cache()
+
+    @pytest.mark.parametrize("entry", FP_HOM_CLOSED, ids=lambda e: e.name)
+    def test_auto_runs_the_circuit_on_fp_queries(self, entry, monkeypatch):
+        # auto never compiles a plan on an FP query, and its values are
+        # bitwise those of the safe plan (CQs, UCQs) or of brute force
+        # (RPQs and CRPQs, which have no plan), for Shapley and Banzhaf.
+        oracle = "safe" if isinstance(
+            entry.query, (ConjunctiveQuery, UnionOfConjunctiveQueries)) else "brute"
+        instances = [_seeded_instance(entry.query, seed) for seed in (1, 2)]
+        expected = {(i, index): AttributionSession(
+                        entry.query, pdb, EngineConfig(method=oracle, index=index)).values()
+                    for i, pdb in enumerate(instances)
+                    for index in ("shapley", "banzhaf")}
+
+        def no_plan(query):
+            raise AssertionError(f"auto compiled a safe plan for {query}")
+
+        monkeypatch.setattr("repro.engine.svc_engine.safe_plan", no_plan)
+        clear_engine_cache()
+        for (i, index), values in expected.items():
+            session = AttributionSession(entry.query, instances[i],
+                                         EngineConfig(index=index))
+            assert session.backend() == "circuit"
+            _assert_bitwise(session.values(), values)
+        assert any(v != 0 for values in expected.values() for v in values.values())
+        clear_engine_cache()
+
+    def test_budget_overrun_falls_back_to_the_safe_plan(self, q_rst, q_hier,
+                                                        rst_exogenous_pdb, tmp_path):
+        tiny = EngineConfig(circuit_node_budget=1, shard="fact", on_hard="exact")
+        budget_line = "circuit compilation exceeded the node budget of 1"
+        clear_engine_cache()
+        report = AttributionSession(q_hier, rst_exogenous_pdb, tiny,
+                                    store=DiskStore(tmp_path)).report()
+        assert report.backend == "safe"
+        assert report.degradation_reason == (f"circuit→safe: {budget_line}",)
+        _assert_bitwise(report.values, AttributionSession(
+            q_hier, rst_exogenous_pdb, EngineConfig(method="safe")).values())
+        assert DiskStore(tmp_path).get(plan_key(q_hier)) is not None
+        # A query without a safe plan keeps the counting fallback.
+        report = AttributionSession(q_rst, rst_exogenous_pdb, tiny).report()
+        assert report.backend == "counting"
+        assert report.degradation_reason == (f"circuit→counting: {budget_line}",)
         clear_engine_cache()
 
     def test_distinct_budgets_get_distinct_engines(self, q_rst, rst_exogenous_pdb):

@@ -130,9 +130,11 @@ class TestSVCEngine:
             assert value == brute.of(f).value
 
     def test_auto_resolves_safe_for_hierarchical_query(self, q_hier, small_pdb):
+        # auto runs the circuit on FP queries too; the safe plan is only its
+        # node-budget fallback.
         engine = SVCEngine(q_hier, small_pdb)
         engine.all_values()
-        assert engine.backend() == "safe"
+        assert engine.backend() == "circuit"
 
     def test_auto_resolves_circuit_for_hard_query(self, q_rst, small_pdb):
         engine = SVCEngine(q_rst, small_pdb)

@@ -20,7 +20,7 @@ from repro.api import AttributionSession, EngineConfig
 from repro.counting.lineage import build_lineage
 from repro.data import PartitionedDatabase, fact
 from repro.engine.sharding import decompose_lineage
-from repro.experiments import full_catalog, q_rst
+from repro.experiments import full_catalog, q_hierarchical, q_rst
 from repro.experiments.batch_engine import island_attribution_instance
 from repro.incremental import (
     MaintainedLineage,
@@ -327,25 +327,31 @@ class TestPatchAttribution:
 
 class TestWorkspaceRoutes:
     def test_refresh_reason_lifecycle(self):
-        pdb = island_attribution_instance(2)
-        ws = AttributionWorkspace(pdb, store=MemoryStore())
-        ws.register("q", q_rst())
-        initial = ws.refresh()
-        assert initial["q"].refresh_reason == "initial-attribution"
-        assert initial["q"].maintenance == "recompute"
+        # q_hier is FP: auto runs the circuit on it too, so its in-support
+        # delta is patched like q_RST's, bitwise-equal to the safe plan.
+        for query, oracle in ((q_rst(), EXACT),
+                              (q_hierarchical(), EngineConfig(method="safe"))):
+            pdb = island_attribution_instance(2)
+            ws = AttributionWorkspace(pdb, store=MemoryStore())
+            ws.register("q", query)
+            initial = ws.refresh()
+            assert initial["q"].refresh_reason == "initial-attribution"
+            assert initial["q"].maintenance == "recompute"
 
-        ws.insert(fact("Zeta", "z"))               # outside the vocabulary
-        outside = ws.refresh()
-        assert outside["q"].refresh_reason == "out-of-support-reuse"
-        assert outside["q"].maintenance is None
-        assert not outside["q"].recomputed
+            ws.insert(fact("Zeta", "z"))           # outside the vocabulary
+            outside = ws.refresh()
+            assert outside["q"].refresh_reason == "out-of-support-reuse"
+            assert outside["q"].maintenance is None
+            assert not outside["q"].recomputed
 
-        ws.remove(fact("R", "i0l0"))
-        patched = ws.refresh()
-        assert patched["q"].refresh_reason == "incremental-patch"
-        assert patched["q"].maintenance == "incremental"
-        assert patched["q"].recomputed
-        assert patched["q"].patch_stats["islands"] >= 1
+            ws.remove(fact("R", "i0l0"))
+            patched = ws.refresh()
+            assert patched["q"].refresh_reason == "incremental-patch"
+            assert patched["q"].maintenance == "incremental"
+            assert patched["q"].recomputed
+            assert patched["q"].patch_stats["islands"] >= 1
+            _assert_bitwise(ws.values("q"),
+                            AttributionSession(query, ws.pdb, oracle).values())
 
     def test_ineligible_backend_recomputes_conservatively(self):
         pdb = island_attribution_instance(2)

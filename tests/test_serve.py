@@ -513,9 +513,8 @@ class TestObservability:
 
 class TestEngineCacheConcurrency:
     def test_auto_with_store_is_cached_under_the_engine_key(self):
-        # Regression: the plan-seeding path used to rebind the cache key to
-        # the *plan* ArtifactKey, so auto-dispatched engines with a store
-        # never hit the LRU again.
+        # Auto-dispatched engines with a store must hit the LRU again: the
+        # key holds the resolved backend name, never an artefact's store key.
         store = MemoryStore()
         pdb = bipartite_attribution_instance(2, 2)
         first = get_engine(q_hierarchical(), pdb, store=store)

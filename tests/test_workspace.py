@@ -475,14 +475,16 @@ class TestEngineStoreThreading:
         _assert_bitwise(small.all_values(), big.all_values())
 
     def test_auto_dispatched_plan_reaches_the_store(self, tmp_path):
-        # Regression: get_engine seeds auto-resolved safe plans directly onto
-        # the engine, bypassing _ensure_plan — the plan must still be put.
+        # auto compiles a safe plan only when the circuit blows its node
+        # budget; that plan must still be put, so a store-warmed process
+        # skips the compile.
         from repro.engine import get_engine
 
         store = DiskStore(tmp_path)
         clear_engine_cache()
         pdb = PartitionedDatabase([fact("S", "a", "b")], [fact("R", "a")])
-        engine = get_engine(Q_HIER, pdb, store=store)   # auto -> safe
+        engine = get_engine(Q_HIER, pdb, store=store, circuit_node_budget=1,
+                            shard="fact")               # auto -> circuit -> safe
         assert engine.backend() == "safe"
         assert DiskStore(tmp_path).get(plan_key(Q_HIER)) is not None
 
